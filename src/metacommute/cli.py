@@ -33,7 +33,12 @@ from metacommute.metacomm import (
     predict,
 )
 from metacommute.modp import phi, reduce_mod, two_square_rep
-from metacommute.quatcore import HurwitzInt, _is_rational_prime, primes_of_norm
+from metacommute.quatcore import (
+    HurwitzInt,
+    _is_rational_prime,
+    _require_odd_prime,
+    primes_of_norm,
+)
 
 
 def parse_quat(text: str) -> HurwitzInt:
@@ -66,8 +71,10 @@ def _cycle_notation(images: tuple[int, ...]) -> str:
 
 def _odd_prime(value: str) -> int:
     p = int(value)
-    if p == 2 or not _is_rational_prime(p):
-        raise argparse.ArgumentTypeError(f"{p} is not an odd prime")
+    try:
+        _require_odd_prime(p)
+    except UnsupportedPrime:
+        raise argparse.ArgumentTypeError(f"{p} is not an odd prime") from None
     return p
 
 

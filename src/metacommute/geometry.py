@@ -16,11 +16,10 @@ from metacommute.modp import (
     FpMat2,
     QuotQuat,
     TwoSquareRep,
-    _require_odd_prime,
     phi,
     reduce_mod,
 )
-from metacommute.quatcore import HurwitzInt, PrimeClass, gcrd
+from metacommute.quatcore import HurwitzInt, PrimeClass, _require_odd_prime, gcrd
 
 
 @dataclass(frozen=True, slots=True, order=True)

@@ -12,6 +12,7 @@ All three agree; the verification sweeps check that exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from metacommute.errors import (
@@ -19,7 +20,7 @@ from metacommute.errors import (
     InternalInvariantViolation,
     NonPrimeNorm,
     ScaleLimit,
-    UnsupportedPrime,
+    SingularMatrix,
 )
 from metacommute.geometry import (
     ConicPoint,
@@ -30,11 +31,19 @@ from metacommute.geometry import (
     pgl2_act,
     trace_zero_rep,
 )
-from metacommute.modp import FpMat2, legendre, phi, reduce_mod, two_square_rep
+from metacommute.modp import (
+    FpMat2,
+    TwoSquareRep,
+    legendre,
+    phi,
+    reduce_mod,
+    two_square_rep,
+)
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
     _is_rational_prime,
+    _require_odd_prime,
     gcrd,
 )
 
@@ -59,7 +68,7 @@ class MetaQuery:
 
     @classmethod
     def create(cls, p: int, Q: HurwitzInt) -> "MetaQuery":
-        _require_odd(p)
+        _require_odd_prime(p)
         q = _check_coprime(p, Q)
         return cls(p=p, Q=Q, q=q, central=reduce_mod(Q, p).is_central())
 
@@ -92,7 +101,7 @@ class PermReport:
 def meta_divide(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     """The partner class via factor extraction: class of gcrd(P*Q, p)."""
     p = P.p
-    _require_odd(p)
+    _require_odd_prime(p)
     _check_coprime(p, Q)
     d = gcrd(P.rep * Q, HurwitzInt.scalar(p))
     if d.norm() != p:
@@ -106,7 +115,7 @@ def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     """The partner class via conjugation of the trace-zero representative:
     the conic point of Qbar^-1 * t * Qbar."""
     p = P.p
-    _require_odd(p)
+    _require_odd_prime(p)
     _check_coprime(p, Q)
     c = trace_zero_rep(P)
     t = reduce_mod(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), p)
@@ -117,19 +126,66 @@ def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     return conic_to_prime(ConicPoint.normalized(p, t2.ci, t2.cj, t2.ck))
 
 
-def meta_permutation(query: MetaQuery) -> Permutation:
-    """The full permutation of the p+1 conic points induced by Q, computed
-    through the right standard action on P^1(F_p)."""
-    p = query.p
+@dataclass(frozen=True, slots=True)
+class ProjTable:
+    """Per-p data of the projective route, with P^1(F_p) points as int keys:
+    <1,m> is m and <0,1> is p.
+
+    ground is the sorted conic, keys[i] the key of ground[i] under
+    conic_to_proj, pos[key] the position of the conic point with that key,
+    and inv[x] the inverse of x mod p (inv[0] is unused).
+    """
+
+    ground: tuple[ConicPoint, ...]
+    rep: TwoSquareRep
+    keys: tuple[int, ...]
+    pos: tuple[int, ...]
+    inv: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def proj_table(p: int) -> ProjTable:
+    """The projective route's table for p, built once: each conic point goes
+    through conic_to_proj, and its rank-one check, exactly once."""
     ground = conic_points(p)
     rep = two_square_rep(p)
-    A = phi(reduce_mod(query.Q, p), rep)
-    proj = [conic_to_proj(c, rep) for c in ground]
-    index_of = {pt: i for i, pt in enumerate(proj)}
-    if len(index_of) != len(ground):
+    keys = []
+    for c in ground:
+        pt = conic_to_proj(c, rep)
+        keys.append(pt.y if pt.x else p)
+    pos = [-1] * (p + 1)
+    for i, key in enumerate(keys):
+        pos[key] = i
+    # p+1 keys in range(p+1): injective exactly when every key is hit
+    if -1 in pos:
         raise InternalInvariantViolation("conic -> P^1 map is not injective")
-    images = tuple(index_of[pgl2_act(pt, A)] for pt in proj)
-    return Permutation(p=p, ground=ground, images=images)
+    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+    return ProjTable(ground, rep, tuple(keys), tuple(pos), tuple(inv))
+
+
+def meta_permutation(query: MetaQuery) -> Permutation:
+    """The full permutation of the p+1 conic points induced by Q, computed
+    through the right standard action on P^1(F_p).
+
+    This is the Moebius map <x,y> * A = <a1 x + a3 y, a2 x + a4 y> of the
+    matrix image A of Q, applied to the int keys of proj_table(p); it equals
+    pgl2_act on the conic_to_proj image of every point.
+    """
+    p = query.p
+    table = proj_table(p)
+    a1, a2, a3, a4 = phi(reduce_mod(query.Q, p), table.rep).entries
+    if (a1 * a4 - a2 * a3) % p == 0:
+        raise SingularMatrix("projective action needs an invertible matrix")
+    pos, inv = table.pos, table.inv
+    images = []
+    for key in table.keys:
+        if key == p:  # <0,1> goes to <a3, a4>
+            x, y = a3, a4
+        else:  # <1,key> goes to <a1 + a3 key, a2 + a4 key>
+            x, y = (a1 + a3 * key) % p, (a2 + a4 * key) % p
+        # x = 0 forces y != 0, since det A != 0
+        images.append(pos[y * inv[x] % p] if x else pos[p])
+    return Permutation(p=p, ground=table.ground, images=tuple(images))
 
 
 def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
@@ -202,7 +258,7 @@ def order_count(k: int, p: int) -> int:
     (both branches apply at k = 2), and p^2 - 1 for k = p."""
     if k <= 1:
         raise ValueError("order_count is defined for k > 1")
-    _require_odd(p)
+    _require_odd_prime(p)
     total = 0
     if (p + 1) % k == 0:
         total += _totient(k) * p * (p - 1) // 2
@@ -213,11 +269,6 @@ def order_count(k: int, p: int) -> int:
     return total
 
 
-def _require_odd(p: int) -> None:
-    if p == 2 or not _is_rational_prime(p):
-        raise UnsupportedPrime(f"expected an odd rational prime, got {p}")
-
-
 def _proj_points(p: int) -> list[ProjPoint]:
     return [ProjPoint(p, 0, 1)] + [ProjPoint(p, 1, m) for m in range(p)]
 
@@ -225,7 +276,7 @@ def _proj_points(p: int) -> list[ProjPoint]:
 def pgl2_order_census(p: int) -> dict[int, int]:
     """Element orders of the full projective group, by brute enumeration of
     all p(p-1)(p+1) matrices mod scalars acting on P^1(F_p)."""
-    _require_odd(p)
+    _require_odd_prime(p)
     if p > _CENSUS_MAX_P:
         raise ScaleLimit(f"census enumerates the full group only for p <= {_CENSUS_MAX_P}")
     pts = _proj_points(p)

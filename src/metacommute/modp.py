@@ -10,13 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from metacommute.errors import ModulusMismatch, SingularMatrix, UnsupportedPrime
-from metacommute.quatcore import HurwitzInt, _is_rational_prime
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not _is_rational_prime(p):
-        raise UnsupportedPrime(f"expected an odd rational prime, got {p}")
+from metacommute.errors import ModulusMismatch, SingularMatrix
+from metacommute.quatcore import HurwitzInt, _require_odd_prime
 
 
 def legendre(n: int, p: int) -> int:

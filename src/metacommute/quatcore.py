@@ -225,6 +225,13 @@ def _is_rational_prime(n: int) -> bool:
     return True
 
 
+def _require_odd_prime(p: int) -> None:
+    """The package's one odd-prime guard: the mod-p machinery needs p odd and
+    prime, because 2 must be invertible and the conic must not degenerate."""
+    if p == 2 or not _is_rational_prime(p):
+        raise UnsupportedPrime(f"expected an odd rational prime, got {p}")
+
+
 def is_prime(h: HurwitzInt) -> bool:
     """True iff h is a Hurwitz prime, i.e. N(h) is a rational prime."""
     return _is_rational_prime(h.norm())
@@ -285,8 +292,7 @@ def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
 def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     """The p+1 left-associate classes of Hurwitz primes of odd prime norm p,
     sorted lexicographically by canonical representative."""
-    if p == 2 or not _is_rational_prime(p):
-        raise UnsupportedPrime(f"primes_of_norm needs an odd rational prime, got {p}")
+    _require_odd_prime(p)
     seen: set[tuple[int, int, int, int]] = set()
     reps = []
     for t in _norm_solutions(p):

@@ -10,8 +10,10 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from metacommute.errors import ScaleLimit
 from metacommute.geometry import conic_points, conic_to_prime, trace_zero_rep
 from metacommute.metacomm import (
+    _CENSUS_MAX_P,
     MetaQuery,
     analyze,
     meta_conj,
@@ -20,6 +22,7 @@ from metacommute.metacomm import (
     order_count,
     pgl2_order_census,
     predict,
+    proj_table,
 )
 from metacommute.modp import QuotQuat, legendre, mat2_det, mat2_trace, phi, phi_inv, two_square_rep
 from metacommute.quatcore import (
@@ -74,10 +77,15 @@ def sweep_queries(p_max: int, q_max: int):
 
 
 def _timed(fn):
+    """Time a sweep, and reject a scope that holds no case: an empty sweep
+    would otherwise pass vacuously."""
     def wrapper(*args, **kwargs) -> VerifyReport:
         start = time.perf_counter()
         report = fn(*args, **kwargs)
         report.elapsed = time.perf_counter() - start
+        if not report.cases_run:
+            scope = ", ".join(f"{k}={v}" for k, v in report.scope.items())
+            raise ScaleLimit(f"{fn.__name__}: no case in scope {scope}")
         return report
 
     wrapper.__name__ = fn.__name__
@@ -159,7 +167,7 @@ def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyRepo
     """
     report = VerifyReport(scope={"p_max": p_max, "q_max": q_max, "seed": seed})
     for p in odd_primes_up_to(p_max):
-        ground = conic_points(p)
+        ground = proj_table(p).ground
         classes = primes_of_norm(p)
         index_of = {c: i for i, c in enumerate(ground)}
         class_pos = {P: index_of[trace_zero_rep(P)] for P in classes}
@@ -237,8 +245,12 @@ def verify_phi(p_max: int = 13, seed: int = 0, pairs: int = 1000) -> VerifyRepor
 def verify_orders(p_max: int = 13) -> VerifyReport:
     """Brute-force element-order census of the projective group matches the
     closed-form count for every order k."""
-    report = VerifyReport(scope={"p_max": min(p_max, 13)})
-    for p in odd_primes_up_to(min(p_max, 13)):
+    if p_max > _CENSUS_MAX_P:
+        raise ScaleLimit(
+            f"census enumerates the full group only for p_max <= {_CENSUS_MAX_P}"
+        )
+    report = VerifyReport(scope={"p_max": p_max})
+    for p in odd_primes_up_to(p_max):
         census = pgl2_order_census(p)
         report.record(
             census.get(1) == 1,

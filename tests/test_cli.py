@@ -107,6 +107,24 @@ def test_verify_counting(capsys):
     assert main(["verify", "counting", "--p-max", "13"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "oracle", "--p-max", "2"],  # no odd prime p
+    ["verify", "signs", "--q-max", "1"],  # no prime q
+])
+def test_verify_empty_scope_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "no case in scope" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_verify_orders_beyond_census_limit_is_usage_error(capsys):
+    assert main(["verify", "orders", "--p-max", "50"]) == 2
+    captured = capsys.readouterr()
+    assert "p_max <= 13" in captured.err
+    assert captured.out == ""
+
+
 def test_permute_composite_norm_reports_null_predictions(capsys):
     assert main(["permute", "--p", "3", "--Q", "[2,2,2,2]", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

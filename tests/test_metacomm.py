@@ -1,9 +1,22 @@
 """The metacommutation map, its three routes, permutation analytics,
 predictions and the order-count formula."""
+import random
+
 import pytest
 
-from metacommute.errors import CoprimalityError, NonPrimeNorm, ScaleLimit
-from metacommute.geometry import conic_points, conic_to_prime, trace_zero_rep
+from metacommute.errors import (
+    CoprimalityError,
+    NonPrimeNorm,
+    ScaleLimit,
+    SingularMatrix,
+)
+from metacommute.geometry import (
+    conic_points,
+    conic_to_prime,
+    conic_to_proj,
+    pgl2_act,
+    trace_zero_rep,
+)
 from metacommute.metacomm import (
     MetaQuery,
     Permutation,
@@ -15,8 +28,9 @@ from metacommute.metacomm import (
     order_count,
     pgl2_order_census,
     predict,
+    proj_table,
 )
-from metacommute.modp import legendre, reduce_mod
+from metacommute.modp import legendre, phi, reduce_mod, two_square_rep
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
@@ -26,6 +40,7 @@ from metacommute.quatcore import (
     primes_of_norm,
     units,
 )
+from metacommute.verify import sweep_queries
 
 ONE_PLUS_I = make(2, 2, 0, 0)
 TWO_PLUS_3I = make(4, 6, 0, 0)
@@ -155,6 +170,55 @@ def test_permutation_for_composite_norm_exists():
     assert sorted(perm.images) == [0, 1, 2, 3]
     with pytest.raises(NonPrimeNorm):
         predict(query)
+
+
+def reference_images(p, Q):
+    """The projective route one point at a time, through the per-point API."""
+    rep = two_square_rep(p)
+    A = phi(reduce_mod(Q, p), rep)
+    proj = [conic_to_proj(c, rep) for c in conic_points(p)]
+    index_of = {pt: i for i, pt in enumerate(proj)}
+    return tuple(index_of[pgl2_act(pt, A)] for pt in proj)
+
+
+def test_table_route_matches_reference_on_the_sweep():
+    count = 0
+    for p, Q in sweep_queries(13, 13):
+        assert images_of(p, Q) == reference_images(p, Q), (p, Q)
+        count += 1
+    assert count == 4344
+
+
+@pytest.mark.parametrize("p", [101, 499])
+def test_table_route_matches_reference_at_large_p(p):
+    table = proj_table(p)
+    assert sorted(table.keys) == list(range(p + 1))  # <0,1> has key p
+    assert all(x * table.inv[x] % p == 1 for x in range(1, p))
+    rng = random.Random(p)
+    for _ in range(6):
+        parity = rng.randrange(2)
+        Q = HurwitzInt(*(2 * rng.randrange(-30, 31) + parity for _ in range(4)))
+        if Q.norm() % p == 0:
+            continue
+        assert images_of(p, Q) == reference_images(p, Q), Q
+
+
+def test_cold_and_warm_table_give_identical_permutations():
+    query = MetaQuery.create(11, make(3, 1, 1, 1))
+    proj_table.cache_clear()
+    cold = meta_permutation(query)
+    assert proj_table.cache_info().misses == 1
+    warm = meta_permutation(query)
+    assert proj_table.cache_info().hits == 1
+    assert cold == warm
+    assert cold.images == reference_images(11, query.Q)
+
+
+def test_table_route_rejects_a_singular_matrix():
+    # bypasses MetaQuery.create, whose coprimality check rules this out
+    query = MetaQuery(p=3, Q=make(0, 6, 0, 0), q=9, central=True)
+    with pytest.raises(SingularMatrix):
+        meta_permutation(query)
 
 
 # ------------------------------------------------------------------ analytics
