@@ -31,10 +31,6 @@ from metacommute.modp import (
     QuotQuat,
     TwoSquareRep,
     legendre,
-    mat2_det,
-    mat2_inv,
-    mat2_mul,
-    mat2_trace,
     phi,
     phi_inv,
     reduce_mod,
@@ -78,10 +74,6 @@ __all__ = [
     "kernel_backend",
     "legendre",
     "make",
-    "mat2_det",
-    "mat2_inv",
-    "mat2_mul",
-    "mat2_trace",
     "meta_conj",
     "meta_divide",
     "meta_permutation",

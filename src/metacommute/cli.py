@@ -196,19 +196,23 @@ def cmd_orders(args) -> int:
     return 0
 
 
-_VERIFY_RUNNERS = {
-    "signs": lambda args: verify_mod.verify_signs(args.p_max, args.q_max),
-    "fixed": lambda args: verify_mod.verify_fixed(args.p_max, args.q_max),
-    "cycles": lambda args: verify_mod.verify_cycles(args.p_max, args.q_max),
-    "phi": lambda args: verify_mod.verify_phi(args.p_max, args.seed),
-    "oracle": lambda args: verify_mod.verify_oracle(args.p_max, args.q_max, args.seed),
-    "orders": lambda args: verify_mod.verify_orders(args.p_max),
-    "counting": lambda args: verify_mod.verify_counting(args.p_max),
+# the parameters each verify check takes; each one is a --flag of the check
+_VERIFY_PARAMS = {
+    "signs": ("p_max", "q_max"),
+    "fixed": ("p_max", "q_max"),
+    "cycles": ("p_max", "q_max"),
+    "phi": ("p_max", "seed"),
+    "oracle": ("p_max", "q_max", "seed"),
+    "orders": ("p_max",),
+    "counting": ("p_max",),
 }
+_VERIFY_DEFAULTS = {"p_max": 13, "q_max": 13, "seed": 0}
 
 
 def cmd_verify(args) -> int:
-    report = _VERIFY_RUNNERS[args.check](args)
+    # resolved by name on every run, so a wrapper installed on the module applies
+    run = getattr(verify_mod, "verify_" + args.check)
+    report = run(**{name: getattr(args, name) for name in _VERIFY_PARAMS[args.check]})
     payload = {
         "check": args.check,
         "scope": report.scope,
@@ -270,12 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_orders)
 
     sp = sub.add_parser("verify", help="run an exhaustive verification sweep")
-    sp.add_argument("check", choices=sorted(_VERIFY_RUNNERS))
-    sp.add_argument("--p-max", type=int, default=13, dest="p_max")
-    sp.add_argument("--q-max", type=int, default=13, dest="q_max")
-    sp.add_argument("--seed", type=int, default=0)
-    add_format(sp)
-    sp.set_defaults(func=cmd_verify)
+    checks = sp.add_subparsers(dest="check", required=True)
+    for check, params in _VERIFY_PARAMS.items():
+        csp = checks.add_parser(check)
+        for name in params:
+            csp.add_argument("--" + name.replace("_", "-"), type=int,
+                             default=_VERIFY_DEFAULTS[name], dest=name)
+        add_format(csp)
+        csp.set_defaults(func=cmd_verify)
 
     return parser
 

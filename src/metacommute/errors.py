@@ -34,7 +34,8 @@ class CoprimalityError(MetacommuteError, ValueError):
 
 
 class NonPrimeNorm(MetacommuteError, ValueError):
-    """Sign / fixed-point predictions require N(Q) to be a rational prime."""
+    """A norm is not a rational prime: a prime class and the sign /
+    fixed-point predictions need one."""
 
 
 class ScaleLimit(MetacommuteError, ValueError):

@@ -180,22 +180,6 @@ class FpMat2:
         return cls(p, 1, 0, 0, 1)
 
 
-def mat2_mul(m: FpMat2, n: FpMat2) -> FpMat2:
-    return m * n
-
-
-def mat2_inv(m: FpMat2) -> FpMat2:
-    return m.inverse()
-
-
-def mat2_det(m: FpMat2) -> int:
-    return m.det()
-
-
-def mat2_trace(m: FpMat2) -> int:
-    return m.trace()
-
-
 def phi(gamma: QuotQuat, rep: TwoSquareRep) -> FpMat2:
     """The splitting isomorphism onto 2x2 matrices over F_p.
 
@@ -220,33 +204,20 @@ def phi(gamma: QuotQuat, rep: TwoSquareRep) -> FpMat2:
     )
 
 
-@lru_cache(maxsize=None)
-def _phi_matrix_inverse(p: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the 4x4 matrix of phi (columns = flattened images of the
-    basis 1, i, j, k), by Gauss-Jordan elimination mod p."""
-    rep = TwoSquareRep(p, a, b)
-    cols = [phi(QuotQuat(p, *e), rep).entries
-            for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    # aug[r] = row r of T | row r of identity
-    aug = [[cols[c][r] for c in range(4)] + [1 if r == c else 0 for c in range(4)]
-           for r in range(4)]
-    for col in range(4):
-        pivot = next(r for r in range(col, 4) if aug[r][col] % p != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(4):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(aug[r][c] - f * aug[col][c]) % p for c in range(8)]
-    return tuple(tuple(row[4:]) for row in aug)
-
-
 def phi_inv(m: FpMat2, rep: TwoSquareRep) -> QuotQuat:
-    """The unique quaternion mod p mapping to m under phi."""
+    """The unique quaternion mod p mapping to m under phi, in closed form.
+
+    With m = [[a1, a2], [a3, a4]] = phi(g1 + g2 i + g3 j + g4 k):
+    g1 = (a1 + a4)/2 and g3 = (a2 - a3)/2, while u = (a1 - a4)/2 = g2 a + g4 b
+    and v = (a2 + a3)/2 = g4 a - g2 b. Since a^2 + b^2 = -1, that solves to
+    g2 = -(a u - b v) and g4 = -(b u + a v).
+    """
     if m.p != rep.p:
         raise ModulusMismatch(f"moduli differ: {m.p} vs {rep.p}")
-    tinv = _phi_matrix_inverse(m.p, rep.a, rep.b)
-    flat = m.entries
-    g = [sum(tinv[r][c] * flat[c] for c in range(4)) % m.p for r in range(4)]
-    return QuotQuat(m.p, g[0], g[1], g[2], g[3])
+    p = m.p
+    h = (p + 1) // 2  # the inverse of 2 mod p
+    a1, a2, a3, a4 = m.entries
+    a, b = rep.a, rep.b
+    u = (a1 - a4) * h % p
+    v = (a2 + a3) * h % p
+    return QuotQuat(p, (a1 + a4) * h, -(a * u - b * v), (a2 - a3) * h, -(b * u + a * v))

@@ -16,8 +16,14 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
-from metacommute import _kernels
-from metacommute.errors import DivideByZero, ParityError, UnsupportedPrime, ZeroInput
+from metacommute import _kernels, _kernels_py
+from metacommute.errors import (
+    DivideByZero,
+    NonPrimeNorm,
+    ParityError,
+    UnsupportedPrime,
+    ZeroInput,
+)
 
 
 class HurwitzInt:
@@ -171,11 +177,7 @@ def make(A: int, B: int, C: int, D: int) -> HurwitzInt:
 @lru_cache(maxsize=1)
 def units() -> tuple[HurwitzInt, ...]:
     """The 24 norm-1 elements, lexicographically sorted by doubled coordinates."""
-    from itertools import product
-
-    lipschitz = [t for t in product((-2, 0, 2), repeat=4) if sum(v * v for v in t) == 4]
-    halves = list(product((-1, 1), repeat=4))
-    return tuple(HurwitzInt._wrap(t) for t in sorted(lipschitz + halves))
+    return tuple(HurwitzInt._wrap(t) for t in _kernels_py._UNITS)
 
 
 def right_divmod(a: HurwitzInt, b: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt]:
@@ -248,7 +250,7 @@ class PrimeClass:
     def of(cls, h: HurwitzInt) -> "PrimeClass":
         n = h.norm()
         if not _is_rational_prime(n):
-            raise ValueError(f"norm {n} is not a rational prime")
+            raise NonPrimeNorm(f"norm {n} is not a rational prime")
         return cls(rep=canonical_rep(h), p=n)
 
     def __repr__(self) -> str:

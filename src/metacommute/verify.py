@@ -1,8 +1,9 @@
 """Exhaustive verification sweeps behind the CLI ``verify`` subcommands.
 
 Every check is exact integer equality; a sweep fails only if some identity
-breaks. Failure descriptions are collected in sorted (p, q, Q) order so
-reports are deterministic.
+breaks. Each check is a stream of (ok, describe) cases that one runner,
+``_run``, times and records. Failure descriptions are collected in sorted
+(p, q, Q) order so reports are deterministic.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from metacommute.metacomm import (
     order_count,
     pgl2_order_census,
     predict,
-    proj_table,
 )
-from metacommute.modp import QuotQuat, legendre, mat2_det, mat2_trace, phi, phi_inv, two_square_rep
+from metacommute.modp import QuotQuat, legendre, phi, phi_inv, two_square_rep
 from metacommute.quatcore import (
     HurwitzInt,
     _is_rational_prime,
@@ -76,77 +76,82 @@ def sweep_queries(p_max: int, q_max: int):
                 yield p, Q
 
 
-def _timed(fn):
-    """Time a sweep, and reject a scope that holds no case: an empty sweep
-    would otherwise pass vacuously."""
-    def wrapper(*args, **kwargs) -> VerifyReport:
-        start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.elapsed = time.perf_counter() - start
-        if not report.cases_run:
-            scope = ", ".join(f"{k}={v}" for k, v in report.scope.items())
-            raise ScaleLimit(f"{fn.__name__}: no case in scope {scope}")
-        return report
+def _run(name: str, scope: dict, cases) -> VerifyReport:
+    """Time a sweep and record each of its (ok, describe) cases.
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
-@_timed
-def verify_signs(p_max: int = 13, q_max: int = 13) -> VerifyReport:
-    """Permutation sign equals the quadratic character of q mod p."""
-    report = VerifyReport(scope={"p_max": p_max, "q_max": q_max})
-    for p, Q in sweep_queries(p_max, q_max):
-        query = MetaQuery.create(p, Q)
-        got = analyze(meta_permutation(query)).sign
-        want = legendre(query.q, p)
-        report.record(
-            got == want,
-            lambda p=p, Q=Q, got=got, want=want:
-                f"sign mismatch p={p} Q={list(Q.coeffs)}: got {got}, predicted {want}",
-        )
+    describe() is called, if at all, before the next case is drawn, so a
+    case may close over its generator's loop variables. A scope that holds
+    no case is rejected: an empty sweep would otherwise pass vacuously.
+    """
+    start = time.perf_counter()
+    report = VerifyReport(scope=scope)
+    for ok, describe in cases:
+        report.record(ok, describe)
+    report.elapsed = time.perf_counter() - start
+    if not report.cases_run:
+        shown = ", ".join(f"{k}={v}" for k, v in scope.items())
+        raise ScaleLimit(f"{name}: no case in scope {shown}")
     return report
 
 
-@_timed
+def _permutations(p_max: int, q_max: int):
+    """Yield (query, meta_permutation(query)) over sweep_queries."""
+    for p, Q in sweep_queries(p_max, q_max):
+        query = MetaQuery.create(p, Q)
+        yield query, meta_permutation(query)
+
+
+def _theorem(name: str, p_max: int, q_max: int, check) -> VerifyReport:
+    """Run check(query, analyze(perm)) -> (ok, describe) over the sweep."""
+    cases = (check(query, analyze(perm)) for query, perm in _permutations(p_max, q_max))
+    return _run(name, {"p_max": p_max, "q_max": q_max}, cases)
+
+
+def _sign_case(query, rep):
+    want = legendre(query.q, query.p)
+    return rep.sign == want, lambda: (
+        f"sign mismatch p={query.p} Q={list(query.Q.coeffs)}: "
+        f"got {rep.sign}, predicted {want}"
+    )
+
+
+def _fixed_case(query, rep):
+    _, want = predict(query)
+    return rep.fixed_count == want, lambda: (
+        f"fixed-point mismatch p={query.p} Q={list(query.Q.coeffs)}: "
+        f"got {rep.fixed_count}, predicted {want}"
+    )
+
+
+def _cycle_case(query, rep):
+    p = query.p
+    ok = rep.uniform_length
+    if ok and rep.cycle_lengths:
+        divisor_of = {0: p + 1, 1: p, 2: p - 1}
+        ok = rep.fixed_count in divisor_of and (
+            divisor_of[rep.fixed_count] % rep.cycle_lengths[0] == 0
+        )
+    return ok, lambda: (
+        f"cycle-structure failure p={p} Q={list(query.Q.coeffs)}: "
+        f"fixed={rep.fixed_count} lengths={list(rep.cycle_lengths)}"
+    )
+
+
+def verify_signs(p_max: int = 13, q_max: int = 13) -> VerifyReport:
+    """Permutation sign equals the quadratic character of q mod p."""
+    return _theorem("verify_signs", p_max, q_max, _sign_case)
+
+
 def verify_fixed(p_max: int = 13, q_max: int = 13) -> VerifyReport:
     """Fixed-point count matches the discriminant prediction, with the
     central-reduction exception fixing all p+1 points."""
-    report = VerifyReport(scope={"p_max": p_max, "q_max": q_max})
-    for p, Q in sweep_queries(p_max, q_max):
-        query = MetaQuery.create(p, Q)
-        got = analyze(meta_permutation(query)).fixed_count
-        _, want = predict(query)
-        report.record(
-            got == want,
-            lambda p=p, Q=Q, got=got, want=want:
-                f"fixed-point mismatch p={p} Q={list(Q.coeffs)}: got {got}, predicted {want}",
-        )
-    return report
+    return _theorem("verify_fixed", p_max, q_max, _fixed_case)
 
 
-@_timed
 def verify_cycles(p_max: int = 13, q_max: int = 13) -> VerifyReport:
     """All non-fixed cycles share one length; that length divides p+1, p or
     p-1 according to fixed-point count 0, 1 or 2."""
-    report = VerifyReport(scope={"p_max": p_max, "q_max": q_max})
-    for p, Q in sweep_queries(p_max, q_max):
-        query = MetaQuery.create(p, Q)
-        rep = analyze(meta_permutation(query))
-        ok = rep.uniform_length
-        if ok and rep.cycle_lengths:
-            divisor_of = {0: p + 1, 1: p, 2: p - 1}
-            ok = rep.fixed_count in divisor_of and (
-                divisor_of[rep.fixed_count] % rep.cycle_lengths[0] == 0
-            )
-        report.record(
-            ok,
-            lambda p=p, Q=Q, rep=rep:
-                f"cycle-structure failure p={p} Q={list(Q.coeffs)}: "
-                f"fixed={rep.fixed_count} lengths={list(rep.cycle_lengths)}",
-        )
-    return report
+    return _theorem("verify_cycles", p_max, q_max, _cycle_case)
 
 
 def _scalar_div(h: HurwitzInt, n: int) -> HurwitzInt | None:
@@ -155,7 +160,37 @@ def _scalar_div(h: HurwitzInt, n: int) -> HurwitzInt | None:
     return HurwitzInt(*(c // n for c in h.coeffs))
 
 
-@_timed
+def _oracle_cases(p_max: int, q_max: int):
+    p = None
+    for query, perm in _permutations(p_max, q_max):
+        if query.p != p:
+            # each class's position in the ground set, found once per p
+            p = query.p
+            classes = primes_of_norm(p)
+            index_of = {c: i for i, c in enumerate(perm.ground)}
+            class_pos = [index_of[trace_zero_rep(P)] for P in classes]
+        Q = query.Q
+        for P, i in zip(classes, class_pos):
+            p_div = meta_divide(P, Q)
+            p_conj = meta_conj(P, Q)
+            p_perm = conic_to_prime(perm.ground[perm.images[i]])
+            ok = p_div == p_conj == p_perm
+            if ok:
+                pq = P.rep * Q
+                qprime = _scalar_div(pq * p_div.rep.conjugate(), p)
+                ok = (
+                    qprime is not None
+                    and qprime.norm() == query.q
+                    and qprime * p_div.rep == pq
+                )
+            yield ok, lambda: (
+                f"oracle failure p={p} Q={list(Q.coeffs)} "
+                f"P={list(P.rep.coeffs)}: divide={list(p_div.rep.coeffs)} "
+                f"conj={list(p_conj.rep.coeffs)} perm={list(p_perm.rep.coeffs)} "
+                "(routes disagree or the product identity broke)"
+            )
+
+
 def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyReport:
     """Triple-route agreement plus the exact product identity.
 
@@ -165,46 +200,11 @@ def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyRepo
     P Q = Q' P' exactly. (seed is accepted for interface symmetry; the sweep
     is exhaustive and uses no randomness.)
     """
-    report = VerifyReport(scope={"p_max": p_max, "q_max": q_max, "seed": seed})
-    for p in odd_primes_up_to(p_max):
-        ground = proj_table(p).ground
-        classes = primes_of_norm(p)
-        index_of = {c: i for i, c in enumerate(ground)}
-        class_pos = {P: index_of[trace_zero_rep(P)] for P in classes}
-        for q in primes_up_to(q_max):
-            if q == p:
-                continue
-            for Q in elements_of_norm(q):
-                perm = meta_permutation(MetaQuery.create(p, Q))
-                for P in classes:
-                    p_div = meta_divide(P, Q)
-                    p_conj = meta_conj(P, Q)
-                    p_perm = conic_to_prime(ground[perm.images[class_pos[P]]])
-                    ok = p_div == p_conj == p_perm
-                    if ok:
-                        pq = P.rep * Q
-                        qprime = _scalar_div(pq * p_div.rep.conjugate(), p)
-                        ok = (
-                            qprime is not None
-                            and qprime.norm() == q
-                            and qprime * p_div.rep == pq
-                        )
-                    report.record(
-                        ok,
-                        lambda p=p, Q=Q, P=P, a=p_div, b=p_conj, c=p_perm:
-                            f"oracle failure p={p} Q={list(Q.coeffs)} "
-                            f"P={list(P.rep.coeffs)}: divide={list(a.rep.coeffs)} "
-                            f"conj={list(b.rep.coeffs)} perm={list(c.rep.coeffs)} "
-                            "(routes disagree or the product identity broke)",
-                    )
-    return report
+    scope = {"p_max": p_max, "q_max": q_max, "seed": seed}
+    return _run("verify_oracle", scope, _oracle_cases(p_max, q_max))
 
 
-@_timed
-def verify_phi(p_max: int = 13, seed: int = 0, pairs: int = 1000) -> VerifyReport:
-    """The splitting map is a ring homomorphism transporting norm to det and
-    trace to trace, satisfies the defining relations, and round-trips."""
-    report = VerifyReport(scope={"p_max": p_max, "seed": seed, "pairs": pairs})
+def _phi_cases(p_max: int, seed: int, pairs: int):
     for p in odd_primes_up_to(p_max):
         rep = two_square_rep(p)
         one = QuotQuat(p, 1, 0, 0, 0)
@@ -219,7 +219,7 @@ def verify_phi(p_max: int = 13, seed: int = 0, pairs: int = 1000) -> VerifyRepor
             and mk * mk == minus_one
             and mi * mj * mk == minus_one
         )
-        report.record(relations_ok, lambda p=p: f"defining relations fail at p={p}")
+        yield relations_ok, lambda: f"defining relations fail at p={p}"
 
         rng = random.Random(seed * 1_000_003 + p)
         for _ in range(pairs):
@@ -229,19 +229,31 @@ def verify_phi(p_max: int = 13, seed: int = 0, pairs: int = 1000) -> VerifyRepor
             ok = (
                 phi(g * d, rep) == mg * md
                 and phi(g + d, rep) == mg + md
-                and mat2_det(mg) == g.norm()
-                and mat2_trace(mg) == g.trace()
+                and mg.det() == g.norm()
+                and mg.trace() == g.trace()
                 and phi_inv(mg, rep) == g
             )
-            report.record(
-                ok,
-                lambda p=p, g=g, d=d:
-                    f"phi identity fails p={p} gamma={g.coords} delta={d.coords}",
-            )
-    return report
+            yield ok, lambda: f"phi identity fails p={p} gamma={g.coords} delta={d.coords}"
 
 
-@_timed
+def verify_phi(p_max: int = 13, seed: int = 0, pairs: int = 1000) -> VerifyReport:
+    """The splitting map is a ring homomorphism transporting norm to det and
+    trace to trace, satisfies the defining relations, and round-trips."""
+    scope = {"p_max": p_max, "seed": seed, "pairs": pairs}
+    return _run("verify_phi", scope, _phi_cases(p_max, seed, pairs))
+
+
+def _order_cases(p_max: int):
+    for p in odd_primes_up_to(p_max):
+        census = pgl2_order_census(p)
+        yield census.get(1) == 1, lambda: f"census p={p}: identity count {census.get(1)}"
+        # element orders in the projective group never exceed p+1
+        for k in range(2, p + 2):
+            want = order_count(k, p)
+            got = census.get(k, 0)
+            yield got == want, lambda: f"order census p={p} k={k}: census {got}, formula {want}"
+
+
 def verify_orders(p_max: int = 13) -> VerifyReport:
     """Brute-force element-order census of the projective group matches the
     closed-form count for every order k."""
@@ -249,45 +261,26 @@ def verify_orders(p_max: int = 13) -> VerifyReport:
         raise ScaleLimit(
             f"census enumerates the full group only for p_max <= {_CENSUS_MAX_P}"
         )
-    report = VerifyReport(scope={"p_max": p_max})
-    for p in odd_primes_up_to(p_max):
-        census = pgl2_order_census(p)
-        report.record(
-            census.get(1) == 1,
-            lambda p=p, census=census: f"census p={p}: identity count {census.get(1)}",
-        )
-        # element orders in the projective group never exceed p+1
-        for k in range(2, p + 2):
-            want = order_count(k, p)
-            got = census.get(k, 0)
-            report.record(
-                got == want,
-                lambda p=p, k=k, got=got, want=want:
-                    f"order census p={p} k={k}: census {got}, formula {want}",
-            )
-    return report
+    return _run("verify_orders", {"p_max": p_max}, _order_cases(p_max))
 
 
-@_timed
-def verify_counting(p_max: int = 53, bijection_p_max: int = 13) -> VerifyReport:
-    """Class and conic counts are both p+1; the trace-zero map is a bijection
-    inverted by the gcrd lift (checked exhaustively up to bijection_p_max)."""
-    report = VerifyReport(scope={"p_max": p_max, "bijection_p_max": bijection_p_max})
+def _counting_cases(p_max: int, bijection_p_max: int):
     for p in odd_primes_up_to(p_max):
         classes = primes_of_norm(p)
         points = conic_points(p)
-        report.record(
-            len(classes) == p + 1 == len(points),
-            lambda p=p, a=len(classes), b=len(points):
-                f"count mismatch p={p}: {a} classes, {b} conic points",
+        yield len(classes) == p + 1 == len(points), lambda: (
+            f"count mismatch p={p}: {len(classes)} classes, {len(points)} conic points"
         )
         if p <= bijection_p_max:
             mapped = [trace_zero_rep(P) for P in classes]
             ok = sorted(mapped) == list(points) and all(
                 conic_to_prime(c) == P for P, c in zip(classes, mapped)
             )
-            report.record(
-                ok,
-                lambda p=p: f"trace-zero map is not a bijection with inverse at p={p}",
-            )
-    return report
+            yield ok, lambda: f"trace-zero map is not a bijection with inverse at p={p}"
+
+
+def verify_counting(p_max: int = 53, bijection_p_max: int = 13) -> VerifyReport:
+    """Class and conic counts are both p+1; the trace-zero map is a bijection
+    inverted by the gcrd lift (checked exhaustively up to bijection_p_max)."""
+    scope = {"p_max": p_max, "bijection_p_max": bijection_p_max}
+    return _run("verify_counting", scope, _counting_cases(p_max, bijection_p_max))

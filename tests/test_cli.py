@@ -110,12 +110,33 @@ def test_verify_counting(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "oracle", "--p-max", "2"],  # no odd prime p
     ["verify", "signs", "--q-max", "1"],  # no prime q
+    ["verify", "phi", "--p-max", "2"],
+    ["verify", "orders", "--p-max", "2"],
+    ["verify", "counting", "--p-max", "2"],
 ])
 def test_verify_empty_scope_is_usage_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "no case in scope" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "counting", "--q-max", "5"],
+    ["verify", "signs", "--seed", "1"],
+    ["verify", "phi", "--q-max", "5"],
+    ["verify", "orders", "--seed", "1"],
+])
+def test_verify_rejects_a_flag_the_check_does_not_take(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_flag_reaches_its_check(capsys):
+    assert main(["verify", "phi", "--p-max", "5", "--seed", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["scope"]["seed"] == 3
 
 
 def test_verify_orders_beyond_census_limit_is_usage_error(capsys):

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from metacommute.errors import DivideByZero, ParityError, UnsupportedPrime, ZeroInput
+from metacommute.errors import (
+    DivideByZero,
+    NonPrimeNorm,
+    ParityError,
+    UnsupportedPrime,
+    ZeroInput,
+)
 from metacommute.quatcore import (
     I,
     J,
@@ -268,7 +274,7 @@ def test_is_prime_examples():
 
 
 def test_prime_class_requires_prime_norm():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPrimeNorm):
         PrimeClass.of(HurwitzInt.scalar(3))
 
 
