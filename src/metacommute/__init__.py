@@ -1,7 +1,8 @@
 """Exact Hurwitz quaternion arithmetic and the metacommutation permutation.
 
-The hot integer kernels run on a compiled extension when it is available
-and on a pure-Python twin otherwise; ``kernel_backend()`` reports which.
+The hot integer kernels (products, division with remainder, gcrd and
+unit-orbit canonicalization) are pure Python; ``kernel_backend()`` names
+them for the benchmark record.
 """
 from metacommute._kernels import kernel_backend
 from metacommute.geometry import (

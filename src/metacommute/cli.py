@@ -14,6 +14,7 @@ import json
 import sys
 
 from metacommute import verify as verify_mod
+from metacommute._kernels import COORD_LIMIT
 from metacommute.errors import (
     CoprimalityError,
     MetacommuteError,
@@ -54,6 +55,11 @@ def parse_quat(text: str) -> HurwitzInt:
     ):
         raise ParseError(
             f"quaternion literal must be a list of 4 integers, got {text!r}"
+        )
+    if any(abs(v) > COORD_LIMIT for v in raw):
+        raise ParseError(
+            f"quaternion literal {text!r} has a doubled coordinate outside "
+            f"the supported range +-{COORD_LIMIT}"
         )
     return HurwitzInt(*raw)
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
-from metacommute import _kernels, _kernels_py
+from metacommute import _kernels
 from metacommute.errors import (
     DivideByZero,
     NonPrimeNorm,
@@ -177,7 +177,7 @@ def make(A: int, B: int, C: int, D: int) -> HurwitzInt:
 @lru_cache(maxsize=1)
 def units() -> tuple[HurwitzInt, ...]:
     """The 24 norm-1 elements, lexicographically sorted by doubled coordinates."""
-    return tuple(HurwitzInt._wrap(t) for t in _kernels_py._UNITS)
+    return tuple(HurwitzInt._wrap(t) for t in _kernels._UNITS)
 
 
 def right_divmod(a: HurwitzInt, b: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt]:

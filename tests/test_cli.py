@@ -72,6 +72,21 @@ def test_predict_composite_norm_is_usage_error(capsys):
     assert main(["predict", "--p", "3", "--Q", "[2,2,2,2]"]) == 2
 
 
+@pytest.mark.parametrize("command", ["permute", "predict"])
+@pytest.mark.parametrize("literal", ["[40000,0,0,0]", "[0,0,0,-16386]"])
+def test_out_of_range_literal_is_usage_error(capsys, command, literal):
+    assert main([command, "--p", "3", "--Q", literal]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "supported range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_parse_quat_accepts_the_range_limit():
+    assert parse_quat("[16384,0,0,0]").coeffs == (16384, 0, 0, 0)
+
+
 def test_primes_schema(capsys):
     assert main(["primes", "--p", "5", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
