@@ -202,7 +202,8 @@ def cmd_orders(args) -> int:
     return 0
 
 
-# the parameters each verify check takes; each one is a --flag of the check
+# the parameters each verify check takes; each one is a --flag of the check,
+# and the verify_<check> signature alone gives its default
 _VERIFY_PARAMS = {
     "signs": ("p_max", "q_max"),
     "fixed": ("p_max", "q_max"),
@@ -212,13 +213,14 @@ _VERIFY_PARAMS = {
     "orders": ("p_max",),
     "counting": ("p_max",),
 }
-_VERIFY_DEFAULTS = {"p_max": 13, "q_max": 13, "seed": 0}
 
 
 def cmd_verify(args) -> int:
     # resolved by name on every run, so a wrapper installed on the module applies
     run = getattr(verify_mod, "verify_" + args.check)
-    report = run(**{name: getattr(args, name) for name in _VERIFY_PARAMS[args.check]})
+    given = {name: getattr(args, name) for name in _VERIFY_PARAMS[args.check]
+             if hasattr(args, name)}
+    report = run(**given)
     payload = {
         "check": args.check,
         "scope": report.scope,
@@ -284,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     for check, params in _VERIFY_PARAMS.items():
         csp = checks.add_parser(check)
         for name in params:
+            # an absent flag sets no attribute, so verify_<check> applies its default
             csp.add_argument("--" + name.replace("_", "-"), type=int,
-                             default=_VERIFY_DEFAULTS[name], dest=name)
+                             default=argparse.SUPPRESS, dest=name)
         add_format(csp)
         csp.set_defaults(func=cmd_verify)
 

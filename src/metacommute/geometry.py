@@ -18,6 +18,7 @@ from metacommute.modp import (
     TwoSquareRep,
     phi,
     reduce_mod,
+    sqrt_table,
 )
 from metacommute.quatcore import HurwitzInt, PrimeClass, _require_odd_prime, gcrd
 
@@ -71,18 +72,21 @@ class ProjPoint:
 @lru_cache(maxsize=None)
 def conic_points(p: int) -> tuple[ConicPoint, ...]:
     """All p+1 points of the conic, lexicographically sorted."""
-    _require_odd_prime(p)
+    roots = sqrt_table(p)
     pts = []
-    # canonical representatives of P^2(F_p): (1,y,z), (0,1,z), (0,0,1)
+
+    def add(x: int, y: int, r: int) -> None:
+        # the points (x:y:z) with z^2 = r^2, in ascending z
+        if r > 0:
+            pts.extend((ConicPoint(p, x, y, r), ConicPoint(p, x, y, p - r)))
+        elif r == 0:
+            pts.append(ConicPoint(p, x, y, 0))
+
+    # canonical representatives of P^2(F_p), in sorted order: (0,0,1),
+    # (0,1,z), (1,y,z); (0,0,1) has x^2+y^2+z^2 = 1, never on the conic
+    add(0, 1, roots[p - 1])
     for y in range(p):
-        for z in range(p):
-            if (1 + y * y + z * z) % p == 0:
-                pts.append(ConicPoint(p, 1, y, z))
-    for z in range(p):
-        if (1 + z * z) % p == 0:
-            pts.append(ConicPoint(p, 0, 1, z))
-    # (0,0,1) has x^2+y^2+z^2 = 1, never on the conic
-    pts.sort()
+        add(1, y, roots[(-1 - y * y) % p])
     if len(pts) != p + 1:
         raise InternalInvariantViolation(f"conic over F_{p} has {len(pts)} points")
     return tuple(pts)

@@ -33,6 +33,7 @@ from metacommute.geometry import (
 )
 from metacommute.modp import (
     FpMat2,
+    QuotQuat,
     TwoSquareRep,
     legendre,
     phi,
@@ -70,22 +71,28 @@ class MetaQuery:
     def create(cls, p: int, Q: HurwitzInt) -> "MetaQuery":
         _require_odd_prime(p)
         q = _check_coprime(p, Q)
-        return cls(p=p, Q=Q, q=q, central=reduce_mod(Q, p).is_central())
+        # Q mod p is central iff its doubled i, j, k coordinates vanish mod p
+        # (2 is a unit mod p)
+        central = Q.B % p == 0 and Q.C % p == 0 and Q.D % p == 0
+        return cls(p=p, Q=Q, q=q, central=central)
 
 
 @dataclass(frozen=True, slots=True)
 class Permutation:
-    """A permutation of the p+1 conic points, in their lexicographic order."""
+    """A permutation of the p+1 conic points, in their lexicographic order:
+    point i goes to point images[i]."""
 
     p: int
-    ground: tuple[ConicPoint, ...]
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if self.ground != conic_points(self.p):
-            raise InternalInvariantViolation("ground set must be the sorted conic")
-        if sorted(self.images) != list(range(len(self.ground))):
+        if sorted(self.images) != list(range(self.p + 1)):
             raise InternalInvariantViolation("images are not a bijection")
+
+    @property
+    def ground(self) -> tuple[ConicPoint, ...]:
+        """The sorted conic that images indexes."""
+        return conic_points(self.p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,14 +120,17 @@ def meta_divide(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
 
 def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     """The partner class via conjugation of the trace-zero representative:
-    the conic point of Qbar^-1 * t * Qbar."""
+    the conic point of conj(Qbar) * t * Qbar.
+
+    conj(Qbar) = N(Q) Qbar^-1 and N(Q) is a unit mod p, so this is a nonzero
+    multiple of Qbar^-1 * t * Qbar: the same projective point.
+    """
     p = P.p
     _require_odd_prime(p)
     _check_coprime(p, Q)
     c = trace_zero_rep(P)
-    t = reduce_mod(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), p)
     qbar = reduce_mod(Q, p)
-    t2 = qbar.inverse() * t * qbar
+    t2 = qbar.conjugate() * QuotQuat(p, 0, c.x, c.y, c.z) * qbar
     if t2.c1 != 0 or not t2:
         raise InternalInvariantViolation("conjugation lost the trace-zero form")
     return conic_to_prime(ConicPoint.normalized(p, t2.ci, t2.cj, t2.ck))
@@ -131,12 +141,11 @@ class ProjTable:
     """Per-p data of the projective route, with P^1(F_p) points as int keys:
     <1,m> is m and <0,1> is p.
 
-    ground is the sorted conic, keys[i] the key of ground[i] under
+    keys[i] is the key of the i-th point of the sorted conic under
     conic_to_proj, pos[key] the position of the conic point with that key,
     and inv[x] the inverse of x mod p (inv[0] is unused).
     """
 
-    ground: tuple[ConicPoint, ...]
     rep: TwoSquareRep
     keys: tuple[int, ...]
     pos: tuple[int, ...]
@@ -147,10 +156,9 @@ class ProjTable:
 def proj_table(p: int) -> ProjTable:
     """The projective route's table for p, built once: each conic point goes
     through conic_to_proj, and its rank-one check, exactly once."""
-    ground = conic_points(p)
     rep = two_square_rep(p)
     keys = []
-    for c in ground:
+    for c in conic_points(p):
         pt = conic_to_proj(c, rep)
         keys.append(pt.y if pt.x else p)
     pos = [-1] * (p + 1)
@@ -160,7 +168,7 @@ def proj_table(p: int) -> ProjTable:
     if -1 in pos:
         raise InternalInvariantViolation("conic -> P^1 map is not injective")
     inv = [0] + [pow(x, -1, p) for x in range(1, p)]
-    return ProjTable(ground, rep, tuple(keys), tuple(pos), tuple(inv))
+    return ProjTable(rep, tuple(keys), tuple(pos), tuple(inv))
 
 
 def meta_permutation(query: MetaQuery) -> Permutation:
@@ -185,7 +193,7 @@ def meta_permutation(query: MetaQuery) -> Permutation:
             x, y = (a1 + a3 * key) % p, (a2 + a4 * key) % p
         # x = 0 forces y != 0, since det A != 0
         images.append(pos[y * inv[x] % p] if x else pos[p])
-    return Permutation(p=p, ground=table.ground, images=tuple(images))
+    return Permutation(p=p, images=tuple(images))
 
 
 def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:

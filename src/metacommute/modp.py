@@ -110,17 +110,27 @@ class TwoSquareRep:
 
 
 @lru_cache(maxsize=None)
+def sqrt_table(p: int) -> tuple[int, ...]:
+    """For each residue t mod p, its least square root r >= 0, or -1 when t
+    is not a square mod p."""
+    _require_odd_prime(p)
+    roots = [-1] * p
+    # r and p - r share a square, so the least roots are 0 .. (p-1)/2, and
+    # their squares are distinct
+    for r in range((p + 1) // 2):
+        roots[r * r % p] = r
+    return tuple(roots)
+
+
+@lru_cache(maxsize=None)
 def two_square_rep(p: int) -> TwoSquareRep:
     """The canonical representation of -1 as a sum of two squares mod p:
     smallest a >= 0 with -1 - a^2 a square, then smallest such b >= 0."""
-    _require_odd_prime(p)
-    roots: dict[int, int] = {}
-    for b in range(p - 1, -1, -1):
-        roots[(b * b) % p] = b  # descending, so the smallest root survives
+    roots = sqrt_table(p)
     for a in range(p):
-        t = (-1 - a * a) % p
-        if t in roots:
-            return TwoSquareRep(p, a, roots[t])
+        b = roots[(-1 - a * a) % p]
+        if b >= 0:
+            return TwoSquareRep(p, a, b)
     raise AssertionError("unreachable: -1 is always a sum of two squares mod p")
 
 

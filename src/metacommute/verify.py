@@ -167,13 +167,14 @@ def _oracle_cases(p_max: int, q_max: int):
             # each class's position in the ground set, found once per p
             p = query.p
             classes = primes_of_norm(p)
-            index_of = {c: i for i, c in enumerate(perm.ground)}
+            ground = perm.ground
+            index_of = {c: i for i, c in enumerate(ground)}
             class_pos = [index_of[trace_zero_rep(P)] for P in classes]
         Q = query.Q
         for P, i in zip(classes, class_pos):
             p_div = meta_divide(P, Q)
             p_conj = meta_conj(P, Q)
-            p_perm = conic_to_prime(perm.ground[perm.images[i]])
+            p_perm = conic_to_prime(ground[perm.images[i]])
             ok = p_div == p_conj == p_perm
             if ok:
                 pq = P.rep * Q
@@ -279,7 +280,7 @@ def _counting_cases(p_max: int, bijection_p_max: int):
             yield ok, lambda: f"trace-zero map is not a bijection with inverse at p={p}"
 
 
-def verify_counting(p_max: int = 53, bijection_p_max: int = 13) -> VerifyReport:
+def verify_counting(p_max: int = 13, bijection_p_max: int = 13) -> VerifyReport:
     """Class and conic counts are both p+1; the trace-zero map is a bijection
     inverted by the gcrd lift (checked exhaustively up to bijection_p_max)."""
     scope = {"p_max": p_max, "bijection_p_max": bijection_p_max}

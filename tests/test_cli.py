@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from metacommute import verify as verify_mod
 from metacommute.cli import main, parse_quat
 from metacommute.errors import ParityError, ParseError
 from metacommute.quatcore import OMEGA, ONE
@@ -152,6 +153,24 @@ def test_verify_rejects_a_flag_the_check_does_not_take(capsys, argv):
 def test_verify_flag_reaches_its_check(capsys):
     assert main(["verify", "phi", "--p-max", "5", "--seed", "3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["scope"]["seed"] == 3
+
+
+@pytest.mark.parametrize("check,scope", [
+    ("signs", {"p_max": 13, "q_max": 13}),
+    ("fixed", {"p_max": 13, "q_max": 13}),
+    ("cycles", {"p_max": 13, "q_max": 13}),
+    ("phi", {"p_max": 13, "seed": 0, "pairs": 1000}),
+    ("oracle", {"p_max": 13, "q_max": 13, "seed": 0}),
+    ("orders", {"p_max": 13}),
+    ("counting", {"p_max": 13, "bijection_p_max": 13}),
+])
+def test_verify_default_scope_is_the_library_default(capsys, monkeypatch, check, scope):
+    # only the resolved scope is compared, so the sweep itself is not run
+    monkeypatch.setattr(verify_mod, "_run",
+                        lambda name, scope, cases: verify_mod.VerifyReport(scope=scope))
+    assert main(["verify", check, "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)["scope"]
+    assert printed == getattr(verify_mod, "verify_" + check)().scope == scope
 
 
 def test_verify_orders_beyond_census_limit_is_usage_error(capsys):

@@ -17,6 +17,7 @@ from metacommute.geometry import (
 )
 from metacommute.modp import FpMat2, QuotQuat, phi, phi_inv, reduce_mod, two_square_rep
 from metacommute.quatcore import HurwitzInt, PrimeClass, make, primes_of_norm
+from metacommute.verify import odd_primes_up_to
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 
@@ -47,6 +48,23 @@ def test_conic_points_against_brute_force(p):
     assert len(pts) == p + 1
     assert [(c.x, c.y, c.z) for c in pts] == _brute_force_conic(p)
     assert list(pts) == sorted(pts)
+
+
+def _quadratic_scan_conic(p):
+    """Reference: the O(p^2) scan of (1,y,z) over all y, z and of (0,1,z)
+    over all z, then sorted."""
+    squares = [z * z % p for z in range(p)]
+    pts = []
+    for y in range(p):
+        want = (-1 - y * y) % p  # 1 + y^2 + z^2 = 0
+        pts += [ConicPoint(p, 1, y, z) for z, s in enumerate(squares) if s == want]
+    pts += [ConicPoint(p, 0, 1, z) for z, s in enumerate(squares) if s == p - 1]
+    return tuple(sorted(pts))
+
+
+def test_conic_points_match_the_quadratic_scan_below_1000():
+    for p in odd_primes_up_to(999):
+        assert conic_points(p) == _quadratic_scan_conic(p), p
 
 
 def test_conic_rejects_p_two():

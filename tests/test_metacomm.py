@@ -6,6 +6,7 @@ import pytest
 
 from metacommute.errors import (
     CoprimalityError,
+    InternalInvariantViolation,
     NonPrimeNorm,
     ScaleLimit,
     SingularMatrix,
@@ -51,6 +52,47 @@ def images_of(p, Q):
 
 
 # ------------------------------------------------------------------ queries
+
+def test_central_flag_matches_the_reduction_on_the_sweep():
+    for p, Q in sweep_queries(13, 13):
+        assert MetaQuery.create(p, Q).central == reduce_mod(Q, p).is_central()
+
+
+def _seeded_queries(p, rng, count=60):
+    """Seeded Q with N(Q) prime to p whose doubled i, j, k coordinates are
+    multiples of p, of either sign, except for at most one of them."""
+    out = []
+    while len(out) < count:
+        parity = rng.randint(0, 1)
+        A = 2 * rng.randint(-9, 9) + parity
+        if A % p == 0:
+            continue  # N(Q) = A^2/4 mod p when B, C, D vanish mod p
+        odd_one_out = len(out) % 4  # 3: none, so Q mod p is central
+        ijk = []
+        for slot in range(3):
+            if slot == odd_one_out:
+                ijk.append(2 * rng.randint(-20, 20) + parity)
+            else:
+                # p * k has the parity of k, so k matches A's parity
+                ijk.append(p * (2 * rng.randint(-3, 3) + parity))
+        Q = HurwitzInt(A, *ijk)
+        if Q.norm() % p:
+            out.append(Q)
+    return out
+
+
+@pytest.mark.parametrize("p", [101, 499])
+def test_central_flag_matches_the_reduction_at_large_p(p):
+    queries = _seeded_queries(p, random.Random(p))
+    # the sample holds a central Q with a negative multiple of p among its coordinates
+    assert any(Q.B < 0 and Q.B % p == Q.C % p == Q.D % p == 0 for Q in queries)
+    centrals = 0
+    for Q in queries:
+        central = MetaQuery.create(p, Q).central
+        assert central == reduce_mod(Q, p).is_central()
+        centrals += central
+    assert 0 < centrals < len(queries)
+
 
 def test_query_fields():
     query = MetaQuery.create(3, TWO_PLUS_3I)
@@ -230,7 +272,7 @@ def test_cycle_decomposition():
 
 
 def test_analyze_identity():
-    perm = Permutation(p=3, ground=conic_points(3), images=(0, 1, 2, 3))
+    perm = Permutation(p=3, images=(0, 1, 2, 3))
     report = analyze(perm)
     assert (report.sign, report.fixed_count) == (1, 4)
     assert report.cycle_lengths == ()
@@ -238,14 +280,14 @@ def test_analyze_identity():
 
 
 def test_analyze_four_cycle():
-    perm = Permutation(p=3, ground=conic_points(3), images=(1, 3, 0, 2))
+    perm = Permutation(p=3, images=(1, 3, 0, 2))
     report = analyze(perm)
     assert (report.sign, report.fixed_count) == (-1, 0)
     assert report.cycle_lengths == (4,)
 
 
 def test_analyze_two_fixed_plus_four_cycle():
-    perm = Permutation(p=5, ground=conic_points(5), images=(0, 1, 3, 4, 5, 2))
+    perm = Permutation(p=5, images=(0, 1, 3, 4, 5, 2))
     report = analyze(perm)
     assert (report.sign, report.fixed_count) == (-1, 2)
     assert report.cycle_lengths == (4,)
@@ -253,8 +295,10 @@ def test_analyze_two_fixed_plus_four_cycle():
 
 
 def test_permutation_rejects_non_bijection():
-    with pytest.raises(Exception):
-        Permutation(p=3, ground=conic_points(3), images=(0, 0, 1, 2))
+    with pytest.raises(InternalInvariantViolation):
+        Permutation(p=3, images=(0, 0, 1, 2))
+    with pytest.raises(InternalInvariantViolation):
+        Permutation(p=3, images=(0, 1, 2))  # p+1 = 4 points, 3 images
 
 
 def test_report_invariants_over_sample():

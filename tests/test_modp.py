@@ -3,6 +3,8 @@ matrix splitting and the Legendre symbol."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metacommute.errors import ModulusMismatch, SingularMatrix, UnsupportedPrime
 from metacommute.modp import (
@@ -13,9 +15,11 @@ from metacommute.modp import (
     phi,
     phi_inv,
     reduce_mod,
+    sqrt_table,
     two_square_rep,
 )
 from metacommute.quatcore import OMEGA, HurwitzInt, make
+from metacommute.verify import odd_primes_up_to
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 
@@ -80,6 +84,41 @@ def test_two_square_rep_is_minimal():
             assert (b * b) % p != (-1 - rep.a ** 2) % p
 
 
+def _least_pair_search(p):
+    """Reference: the least (a, b) in lexicographic order with
+    a^2 + b^2 = -1 mod p, by brute force."""
+    for a in range(p):
+        for b in range(p):
+            if (a * a + b * b + 1) % p == 0:
+                return a, b
+    raise AssertionError(f"no two-square representation of -1 mod {p}")
+
+
+def test_two_square_rep_matches_the_least_pair_below_1000():
+    for p in odd_primes_up_to(999):
+        rep = two_square_rep(p)
+        assert (rep.a, rep.b) == _least_pair_search(p), p
+
+
+def test_sqrt_table_holds_least_roots_and_marks_non_residues():
+    for p in odd_primes_up_to(999):
+        roots = sqrt_table(p)
+        assert len(roots) == p
+        least = {}
+        for r in range(p - 1, -1, -1):
+            least[r * r % p] = r  # descending, so the least root survives
+        for t, r in enumerate(roots):
+            assert r == least.get(t, -1), (p, t)
+            assert (r == -1) == (legendre(t, p) == -1), (p, t)
+            if r >= 0:
+                assert r * r % p == t
+
+
+def test_sqrt_table_rejects_p_two():
+    with pytest.raises(UnsupportedPrime):
+        sqrt_table(2)
+
+
 # ------------------------------------------------------------------- phi maps
 
 def test_phi_of_one_is_identity():
@@ -139,6 +178,29 @@ def test_phi_inv_round_trip():
         for _ in range(200):
             g = rand_quot(rng, p)
             assert phi_inv(phi(g, rep), rep) == g
+
+
+_SMALL_ODD_PRIMES = odd_primes_up_to(199)
+
+
+@st.composite
+def _prime_and_pair(draw):
+    p = draw(st.sampled_from(_SMALL_ODD_PRIMES))
+    coords = st.tuples(*[st.integers(0, p - 1)] * 4)
+    return p, QuotQuat(p, *draw(coords)), QuotQuat(p, *draw(coords))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_prime_and_pair())
+def test_phi_is_a_homomorphism_for_any_small_prime(case):
+    p, g, d = case
+    rep = two_square_rep(p)
+    mg, md = phi(g, rep), phi(d, rep)
+    assert phi(g * d, rep) == mg * md
+    assert phi(g + d, rep) == mg + md
+    assert mg.det() == g.norm()
+    assert mg.trace() == g.trace()
+    assert phi_inv(mg, rep) == g
 
 
 def test_phi_inv_displays():

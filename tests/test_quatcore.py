@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from metacommute.errors import (
     DivideByZero,
@@ -234,6 +236,31 @@ def test_gcrd_is_greatest_by_exhaustive_divisor_search():
         ):
             if _right_divides(d, a) and _right_divides(d, b):
                 assert _right_divides(d, g), (a, b, d, g)
+
+
+@st.composite
+def _hurwitz(draw, span=6):
+    """A nonzero Hurwitz integer with doubled coordinates in [-2 span - 1, 2 span + 1]."""
+    parity = draw(st.integers(0, 1))
+    coords = st.integers(-span, span).map(lambda v: 2 * v + parity)
+    h = HurwitzInt(*draw(st.tuples(coords, coords, coords, coords)))
+    assume(h)
+    return h
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_hurwitz(), _hurwitz())
+def test_gcrd_right_divides_both_arguments(a, b):
+    g = gcrd(a, b)
+    assert _right_divides(g, a) and _right_divides(g, b)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_hurwitz(span=3), _hurwitz(span=3), _hurwitz(span=3))
+def test_gcrd_of_common_right_multiples_is_right_divisible_by_the_factor(x, y, g):
+    # g is a common right divisor of x g and y g, so the greatest one is a
+    # right multiple of it
+    assert _right_divides(g, gcrd(x * g, y * g))
 
 
 # ------------------------------------------------------------- canonical reps
