@@ -75,8 +75,15 @@ def _cycle_notation(images: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycles)
 
 
+# the largest --p: near it, conic, permute and orders take under 2 s cold
+# (Python 3.11, one core), and the trial-division prime guard is instant
+_P_MAX = 100_000
+
+
 def _odd_prime(value: str) -> int:
     p = int(value)
+    if p > _P_MAX:
+        raise argparse.ArgumentTypeError(f"{p} is above the largest supported p, {_P_MAX}")
     try:
         _require_odd_prime(p)
     except UnsupportedPrime:

@@ -20,7 +20,7 @@ from metacommute.modp import (
     reduce_mod,
     sqrt_table,
 )
-from metacommute.quatcore import HurwitzInt, PrimeClass, _require_odd_prime, gcrd
+from metacommute.quatcore import HurwitzInt, PrimeClass, _require_odd_prime
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -123,14 +123,7 @@ def trace_zero_rep(P: PrimeClass) -> ConicPoint:
 def conic_to_prime(c: ConicPoint) -> PrimeClass:
     """The prime class of a conic point: lift t = xi + yj + zk with
     coordinates in [0, p) and take the class of gcrd(lift, p)."""
-    p = c.p
-    lift = HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z)
-    d = gcrd(lift, HurwitzInt.scalar(p))
-    if d.norm() != p:
-        raise InternalInvariantViolation(
-            f"gcrd(lift, {p}) has norm {d.norm()}, expected {p}"
-        )
-    return PrimeClass(rep=d, p=p)
+    return PrimeClass.dividing(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), c.p)
 
 
 def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:

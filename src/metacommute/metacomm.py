@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import chain, product
+from math import gcd, lcm
 
 from metacommute.errors import (
     CoprimalityError,
@@ -24,17 +25,15 @@ from metacommute.errors import (
 )
 from metacommute.geometry import (
     ConicPoint,
-    ProjPoint,
     conic_points,
     conic_to_prime,
     conic_to_proj,
-    pgl2_act,
     trace_zero_rep,
 )
 from metacommute.modp import (
-    FpMat2,
     QuotQuat,
     TwoSquareRep,
+    inv_table,
     legendre,
     phi,
     reduce_mod,
@@ -45,7 +44,6 @@ from metacommute.quatcore import (
     PrimeClass,
     _is_rational_prime,
     _require_odd_prime,
-    gcrd,
 )
 
 _CENSUS_MAX_P = 13
@@ -110,12 +108,7 @@ def meta_divide(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     p = P.p
     _require_odd_prime(p)
     _check_coprime(p, Q)
-    d = gcrd(P.rep * Q, HurwitzInt.scalar(p))
-    if d.norm() != p:
-        raise InternalInvariantViolation(
-            f"gcrd(PQ, {p}) has norm {d.norm()}, expected {p}"
-        )
-    return PrimeClass(rep=d, p=p)
+    return PrimeClass.dividing(P.rep * Q, p)
 
 
 def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
@@ -142,14 +135,12 @@ class ProjTable:
     <1,m> is m and <0,1> is p.
 
     keys[i] is the key of the i-th point of the sorted conic under
-    conic_to_proj, pos[key] the position of the conic point with that key,
-    and inv[x] the inverse of x mod p (inv[0] is unused).
+    conic_to_proj, and pos[key] the position of the conic point with that key.
     """
 
     rep: TwoSquareRep
     keys: tuple[int, ...]
     pos: tuple[int, ...]
-    inv: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -167,33 +158,40 @@ def proj_table(p: int) -> ProjTable:
     # p+1 keys in range(p+1): injective exactly when every key is hit
     if -1 in pos:
         raise InternalInvariantViolation("conic -> P^1 map is not injective")
-    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
-    return ProjTable(rep, tuple(keys), tuple(pos), tuple(inv))
+    return ProjTable(rep, tuple(keys), tuple(pos))
 
 
-def meta_permutation(query: MetaQuery) -> Permutation:
-    """The full permutation of the p+1 conic points induced by Q, computed
-    through the right standard action on P^1(F_p).
-
-    This is the Moebius map <x,y> * A = <a1 x + a3 y, a2 x + a4 y> of the
-    matrix image A of Q, applied to the int keys of proj_table(p); it equals
-    pgl2_act on the conic_to_proj image of every point.
-    """
-    p = query.p
-    table = proj_table(p)
-    a1, a2, a3, a4 = phi(reduce_mod(query.Q, p), table.rep).entries
+def _act(p: int, matrix: tuple[int, int, int, int], keys, pos) -> tuple[int, ...]:
+    """The right standard action <x,y> * A = <a1 x + a3 y, a2 x + a4 y> of
+    A = (a1, a2, a3, a4), entries in [0, p), on the P^1(F_p) points with int
+    keys keys[i]: image i is pos[key of keys[i] * A]."""
+    a1, a2, a3, a4 = matrix
     if (a1 * a4 - a2 * a3) % p == 0:
         raise SingularMatrix("projective action needs an invertible matrix")
-    pos, inv = table.pos, table.inv
+    inv = inv_table(p)
     images = []
-    for key in table.keys:
+    for key in keys:
         if key == p:  # <0,1> goes to <a3, a4>
             x, y = a3, a4
         else:  # <1,key> goes to <a1 + a3 key, a2 + a4 key>
             x, y = (a1 + a3 * key) % p, (a2 + a4 * key) % p
         # x = 0 forces y != 0, since det A != 0
         images.append(pos[y * inv[x] % p] if x else pos[p])
-    return Permutation(p=p, images=tuple(images))
+    return tuple(images)
+
+
+def meta_permutation(query: MetaQuery) -> Permutation:
+    """The full permutation of the p+1 conic points induced by Q, computed
+    through the right standard action on P^1(F_p).
+
+    This is the Moebius map of the matrix image A of Q on the int keys of
+    proj_table(p); it equals pgl2_act on the conic_to_proj image of every
+    point.
+    """
+    p = query.p
+    table = proj_table(p)
+    matrix = phi(reduce_mod(query.Q, p), table.rep).entries
+    return Permutation(p=p, images=_act(p, matrix, table.keys, table.pos))
 
 
 def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
@@ -277,40 +275,25 @@ def order_count(k: int, p: int) -> int:
     return total
 
 
-def _proj_points(p: int) -> list[ProjPoint]:
-    return [ProjPoint(p, 0, 1)] + [ProjPoint(p, 1, m) for m in range(p)]
-
-
 def pgl2_order_census(p: int) -> dict[int, int]:
     """Element orders of the full projective group, by brute enumeration of
     all p(p-1)(p+1) matrices mod scalars acting on P^1(F_p)."""
     _require_odd_prime(p)
     if p > _CENSUS_MAX_P:
         raise ScaleLimit(f"census enumerates the full group only for p <= {_CENSUS_MAX_P}")
-    pts = _proj_points(p)
-    idx = {pt: i for i, pt in enumerate(pts)}
-    n = len(pts)
-    identity = list(range(n))
+    points = range(p + 1)  # every key of P^1(F_p) is its own position
+    rs = range(p)
     tally: dict[int, int] = {}
     # canonical representatives mod scalars: first nonzero entry equal to 1
-    mats = []
-    for a2 in range(p):
-        for a3 in range(p):
-            for a4 in range(p):
-                mats.append((1, a2, a3, a4))
-    for a3 in range(p):
-        for a4 in range(p):
-            mats.append((0, 1, a3, a4))
-    for entries in mats:
-        m = FpMat2(p, *entries)
-        if m.det() == 0:
+    for matrix in chain(product((1,), rs, rs, rs), product((0,), (1,), rs, rs)):
+        a1, a2, a3, a4 = matrix
+        if (a1 * a4 - a2 * a3) % p == 0:
             continue
-        images = [idx[pgl2_act(pt, m)] for pt in pts]
-        order = 1
-        cur = images
-        while cur != identity:
-            cur = [images[i] for i in cur]
-            order += 1
+        images = _act(p, matrix, points, points)
+        # cycle_decomposition would not end on a non-bijection
+        if len(set(images)) != p + 1:
+            raise InternalInvariantViolation(f"{matrix} does not permute P^1(F_{p})")
+        order = lcm(*(len(c) for c in cycle_decomposition(images)))
         tally[order] = tally.get(order, 0) + 1
     if sum(tally.values()) != p * (p - 1) * (p + 1):
         raise InternalInvariantViolation("census does not cover the whole group")

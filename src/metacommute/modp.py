@@ -123,6 +123,13 @@ def sqrt_table(p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def inv_table(p: int) -> tuple[int, ...]:
+    """For each residue x mod p, its inverse mod p (entry 0 is an unused 0)."""
+    _require_odd_prime(p)
+    return (0,) + tuple(pow(x, -1, p) for x in range(1, p))
+
+
+@lru_cache(maxsize=None)
 def two_square_rep(p: int) -> TwoSquareRep:
     """The canonical representation of -1 as a sum of two squares mod p:
     smallest a >= 0 with -1 - a^2 a square, then smallest such b >= 0."""

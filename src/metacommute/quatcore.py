@@ -19,11 +19,16 @@ from typing import Iterator
 from metacommute import _kernels
 from metacommute.errors import (
     DivideByZero,
+    InternalInvariantViolation,
     NonPrimeNorm,
     ParityError,
+    ScaleLimit,
     UnsupportedPrime,
     ZeroInput,
 )
+
+# primes_of_norm is O(p^1.5) cold: about 1.4 s at p = 5003 (Python 3.11, one core)
+_PRIMES_MAX_P = 5000
 
 
 class HurwitzInt:
@@ -59,11 +64,6 @@ class HurwitzInt:
         return h
 
     @classmethod
-    def from_integers(cls, a: int, b: int, c: int, d: int) -> "HurwitzInt":
-        """The quaternion a + bi + cj + dk with whole-integer components."""
-        return cls(2 * a, 2 * b, 2 * c, 2 * d)
-
-    @classmethod
     def scalar(cls, n: int) -> "HurwitzInt":
         return cls(2 * n, 0, 0, 0)
 
@@ -80,9 +80,6 @@ class HurwitzInt:
 
     def trace(self) -> int:
         return self.A
-
-    def is_unit(self) -> bool:
-        return self.norm() == 1
 
     def __bool__(self) -> bool:
         return (self.A | self.B | self.C | self.D) != 0
@@ -135,23 +132,18 @@ class HurwitzInt:
     def __str__(self) -> str:
         if not self:
             return "0"
-        if (self.A | self.B | self.C | self.D) & 1 == 0:
-            parts = []
-            for v, sym in zip((c // 2 for c in self.coeffs), ("", "i", "j", "k")):
-                if v == 0:
-                    continue
-                sign = "-" if v < 0 else ("+" if parts else "")
-                mag = abs(v)
-                body = sym if (mag == 1 and sym) else f"{mag}{sym}"
-                parts.append(f"{sign}{body}")
-            return "".join(parts)
+        half = self.A & 1  # all four coordinates share this parity
         parts = []
         for v, sym in zip(self.coeffs, ("", "i", "j", "k")):
+            v = v if half else v // 2
+            if v == 0:  # never a half-integer coordinate, which is odd
+                continue
             sign = "-" if v < 0 else ("+" if parts else "")
             mag = abs(v)
             body = sym if (mag == 1 and sym) else f"{mag}{sym}"
             parts.append(f"{sign}{body}")
-        return "(" + "".join(parts) + ")/2"
+        text = "".join(parts)
+        return f"({text})/2" if half else text
 
 
 def _coerce(value):
@@ -253,6 +245,17 @@ class PrimeClass:
             raise NonPrimeNorm(f"norm {n} is not a rational prime")
         return cls(rep=canonical_rep(h), p=n)
 
+    @classmethod
+    def dividing(cls, h: HurwitzInt, p: int) -> "PrimeClass":
+        """The class of gcrd(h, p), which must have norm p: the prime of norm
+        p that right-divides h."""
+        d = gcrd(h, HurwitzInt.scalar(p))
+        if d.norm() != p:
+            raise InternalInvariantViolation(
+                f"gcrd({h!r}, {p}) has norm {d.norm()}, expected {p}"
+            )
+        return cls(rep=d, p=p)
+
     def __repr__(self) -> str:
         return f"PrimeClass({self.rep!r}, p={self.p})"
 
@@ -294,13 +297,16 @@ def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
 def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     """The p+1 left-associate classes of Hurwitz primes of odd prime norm p,
     sorted lexicographically by canonical representative."""
+    # the bound first: the guard's trial division is slow on a huge p
+    if p > _PRIMES_MAX_P:
+        raise ScaleLimit(f"prime classes are enumerated only for p <= {_PRIMES_MAX_P}")
     _require_odd_prime(p)
     seen: set[tuple[int, int, int, int]] = set()
-    reps = []
+    classes = []
+    # _norm_solutions is lexicographic, so the first unseen element of each
+    # unit orbit is the orbit's least, and the classes come out sorted
     for t in _norm_solutions(p):
-        if t in seen:
-            continue
-        orbit = {_kernels.mul(u.coeffs, t) for u in units()}
-        seen |= orbit
-        reps.append(min(orbit))
-    return tuple(PrimeClass(rep=HurwitzInt._wrap(t), p=p) for t in sorted(reps))
+        if t not in seen:
+            seen.update(_kernels.mul(u, t) for u in _kernels._UNITS)
+            classes.append(PrimeClass(rep=HurwitzInt._wrap(t), p=p))
+    return tuple(classes)

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 from metacommute import verify as verify_mod
-from metacommute.cli import main, parse_quat
+from metacommute.cli import _P_MAX, main, parse_quat
 from metacommute.errors import ParityError, ParseError
-from metacommute.quatcore import OMEGA, ONE
+from metacommute.quatcore import _PRIMES_MAX_P, OMEGA, ONE, _is_rational_prime
 
 
 # -------------------------------------------------------------------- parsing
@@ -188,13 +188,37 @@ def test_permute_composite_norm_reports_null_predictions(capsys):
     assert payload["pass"] is None
 
 
+def _next_prime(n):
+    n += 1
+    while not _is_rational_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("args", [
+    ["primes", "--p", "1000000000000000003"],
+    ["permute", "--p", "2305843009213693951", "--Q", "[2,2,0,0]"],
+    ["conic", "--p", str(_next_prime(_P_MAX))],
+    ["primes", "--p", str(_next_prime(_PRIMES_MAX_P))],
+])
+def test_p_above_its_bound_is_a_quick_usage_error(args):
+    # the trial-division guard would not end on a huge prime, and a cold
+    # primes_of_norm near the CLI bound takes minutes
+    result = _run_subprocess(args, timeout=10)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert b"error:" in result.stderr
+
+
 # -------------------------------------------------------------- determinism
 
-def _run_subprocess(args):
+def _run_subprocess(args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "metacommute", *args],
         capture_output=True,
         check=False,
+        timeout=timeout,
     )
 
 

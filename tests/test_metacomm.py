@@ -1,5 +1,6 @@
 """The metacommutation map, its three routes, permutation analytics,
 predictions and the order-count formula."""
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from metacommute.errors import (
     SingularMatrix,
 )
 from metacommute.geometry import (
+    ProjPoint,
     conic_points,
     conic_to_prime,
     conic_to_proj,
@@ -21,6 +23,7 @@ from metacommute.geometry import (
 from metacommute.metacomm import (
     MetaQuery,
     Permutation,
+    _act,
     analyze,
     cycle_decomposition,
     meta_conj,
@@ -31,7 +34,7 @@ from metacommute.metacomm import (
     predict,
     proj_table,
 )
-from metacommute.modp import legendre, phi, reduce_mod, two_square_rep
+from metacommute.modp import FpMat2, inv_table, legendre, phi, reduce_mod, two_square_rep
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
@@ -235,7 +238,7 @@ def test_table_route_matches_reference_on_the_sweep():
 def test_table_route_matches_reference_at_large_p(p):
     table = proj_table(p)
     assert sorted(table.keys) == list(range(p + 1))  # <0,1> has key p
-    assert all(x * table.inv[x] % p == 1 for x in range(1, p))
+    assert all(x * inv_table(p)[x] % p == 1 for x in range(1, p))
     rng = random.Random(p)
     for _ in range(6):
         parity = rng.randrange(2)
@@ -243,6 +246,23 @@ def test_table_route_matches_reference_at_large_p(p):
         if Q.norm() % p == 0:
             continue
         assert images_of(p, Q) == reference_images(p, Q), Q
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_shared_action_is_pgl2_act_on_every_key(p):
+    # the census path: keys = positions = range(p + 1), <1,m> is m, <0,1> is p
+    points = [ProjPoint(p, 1, m) for m in range(p)] + [ProjPoint(p, 0, 1)]
+    count = 0
+    for matrix in itertools.product(range(p), repeat=4):
+        A = FpMat2(p, *matrix)
+        if A.det() == 0:
+            continue
+        images = _act(p, matrix, range(p + 1), range(p + 1))
+        expected = tuple(pt.y if pt.x else p
+                         for pt in (pgl2_act(pt, A) for pt in points))
+        assert images == expected, matrix
+        count += 1
+    assert count == (p * p - 1) * (p * p - p)  # the order of GL_2(F_p)
 
 
 def test_cold_and_warm_table_give_identical_permutations():

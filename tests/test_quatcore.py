@@ -2,15 +2,19 @@
 canonicalization and prime-class enumeration."""
 import itertools
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from metacommute import _kernels
 from metacommute.errors import (
     DivideByZero,
+    InternalInvariantViolation,
     NonPrimeNorm,
     ParityError,
+    ScaleLimit,
     UnsupportedPrime,
     ZeroInput,
 )
@@ -22,6 +26,8 @@ from metacommute.quatcore import (
     ONE,
     HurwitzInt,
     PrimeClass,
+    _is_rational_prime,
+    _norm_solutions,
     canonical_rep,
     elements_of_norm,
     gcrd,
@@ -287,6 +293,20 @@ def test_canonical_rep_of_units_is_lex_least_unit():
         assert canonical_rep(u) == least
 
 
+@pytest.mark.parametrize("coeffs,text", [
+    ((0, 0, 0, 0), "0"),
+    ((2, 0, 0, 0), "1"),
+    ((0, 0, 0, -2), "-k"),
+    ((0, -2, 4, 0), "-i+2j"),
+    ((-4, 2, 0, 0), "-2+i"),
+    ((1, 1, 1, 1), "(1+i+j+k)/2"),
+    ((1, -1, 3, -1), "(1-i+3j-k)/2"),
+    ((-1, -1, -1, -1), "(-1-i-j-k)/2"),
+])
+def test_str(coeffs, text):
+    assert str(make(*coeffs)) == text
+
+
 def test_canonical_rep_zero_rejected():
     with pytest.raises(ZeroInput):
         canonical_rep(make(0, 0, 0, 0))
@@ -308,7 +328,7 @@ def test_prime_class_requires_prime_norm():
 def _enumerate_classes(p):
     """Independent oracle: walk every lattice point of norm p by brute
     force and group into left-unit orbits."""
-    lim = 2 * p  # |doubled coordinate| <= 2*sqrt(p) <= 2p
+    lim = isqrt(4 * p)  # A^2 + B^2 + C^2 + D^2 = 4p bounds each coordinate
     sols = [
         t for t in itertools.product(range(-lim, lim + 1), repeat=4)
         if sum(v * v for v in t) == 4 * p
@@ -344,6 +364,51 @@ def test_primes_of_norm_counts_and_reps(p, count):
     for P in classes:
         assert P.rep.norm() == p
         assert canonical_rep(P.rep) == P.rep
+
+
+def _orbit_minimum_classes(p):
+    """Reference: the least element of each left-unit orbit of the norm-p
+    solutions, sorted."""
+    us = [u.coeffs for u in units()]
+    seen, reps = set(), []
+    for t in _norm_solutions(p):
+        if t in seen:
+            continue
+        orbit = {_kernels.mul(u, t) for u in us}
+        seen |= orbit
+        reps.append(min(orbit))
+    return sorted(reps)
+
+
+def test_primes_of_norm_matches_the_orbit_minimum_below_500():
+    for p in range(3, 500, 2):
+        if _is_rational_prime(p):
+            got = [P.rep.coeffs for P in primes_of_norm(p)]
+            assert got == _orbit_minimum_classes(p), p
+
+
+@pytest.mark.parametrize("p", [5003, 2 ** 61 - 1])
+def test_primes_of_norm_rejects_p_above_its_bound_at_once(p):
+    # 2^61 - 1 is prime: the odd-prime guard would trial-divide for hours
+    with pytest.raises(ScaleLimit):
+        primes_of_norm(p)
+
+
+def test_prime_class_dividing_is_the_norm_p_right_factor():
+    for p in (3, 5, 13):
+        for P in primes_of_norm(p):
+            for Q in (make(2, 2, 0, 0), make(1, 1, 1, 1), make(4, 2, 2, 2)):
+                D = PrimeClass.dividing(P.rep * Q, p)
+                assert D.rep.norm() == p
+                assert canonical_rep(D.rep) == D.rep
+                assert right_divmod(P.rep * Q, D.rep)[1] == make(0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("h", [HurwitzInt.scalar(7), ONE, make(2, 2, 0, 0)])
+def test_prime_class_dividing_rejects_a_gcrd_without_norm_p(h):
+    # gcrd(7, 7) = 7 has norm 49; gcrd(1, 7) and gcrd(1+i, 7) are units
+    with pytest.raises(InternalInvariantViolation):
+        PrimeClass.dividing(h, 7)
 
 
 def test_primes_of_norm_rejects_two_and_composites():
