@@ -125,12 +125,15 @@ def gcrd(a, b):
 def canonical_min(h):
     """Lexicographic minimum of the 24 left-associates u * h."""
     _check_range(h)
-    best = None
-    for u in _UNITS:
-        c = _mul_raw(u, h)
-        if best is None or c < best:
-            best = c
-    return best
+    A, B, C, D = h
+    # every u * h is integral exactly when A + B + C + D is even
+    if (A + B + C + D) & 1:
+        raise ValueError("non-integral product; parity constraint violated")
+    # the first doubled coordinate of u * h is (u0 A - u1 B - u2 C - u3 D) / 2,
+    # so only the units that minimise it need the full product
+    firsts = [u0 * A - u1 * B - u2 * C - u3 * D for u0, u1, u2, u3 in _UNITS]
+    least = min(firsts)
+    return min([_mul_raw(u, h) for u, f in zip(_UNITS, firsts) if f == least])
 
 
 def kernel_backend() -> str:

@@ -31,7 +31,6 @@ from metacommute.geometry import (
     trace_zero_rep,
 )
 from metacommute.modp import (
-    QuotQuat,
     TwoSquareRep,
     inv_table,
     legendre,
@@ -121,12 +120,24 @@ def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     p = P.p
     _require_odd_prime(p)
     _check_coprime(p, Q)
-    c = trace_zero_rep(P)
-    qbar = reduce_mod(Q, p)
-    t2 = qbar.conjugate() * QuotQuat(p, 0, c.x, c.y, c.z) * qbar
-    if t2.c1 != 0 or not t2:
+    t = trace_zero_rep(P)
+    x, y, z = t.x, t.y, t.z
+    # Qbar = (a, b, c, d) mod p, with (p + 1) // 2 the inverse of 2
+    h = (p + 1) // 2
+    a, b, c, d = Q.A * h % p, Q.B * h % p, Q.C * h % p, Q.D * h % p
+    # v = conj(Qbar) * (0, x, y, z)
+    v1 = b * x + c * y + d * z
+    v2 = a * x - c * z + d * y
+    v3 = a * y + b * z - d * x
+    v4 = a * z - b * y + c * x
+    # w = v * Qbar
+    w1 = (v1 * a - v2 * b - v3 * c - v4 * d) % p
+    w2 = (v1 * b + v2 * a + v3 * d - v4 * c) % p
+    w3 = (v1 * c - v2 * d + v3 * a + v4 * b) % p
+    w4 = (v1 * d + v2 * c - v3 * b + v4 * a) % p
+    if w1 != 0 or not (w2 or w3 or w4):
         raise InternalInvariantViolation("conjugation lost the trace-zero form")
-    return conic_to_prime(ConicPoint.normalized(p, t2.ci, t2.cj, t2.ck))
+    return conic_to_prime(ConicPoint.normalized(p, w2, w3, w4))
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,6 +217,10 @@ def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
         seen.add(start)
         j = images[start]
         while j != start:
+            # a second visit to j, not closing the cycle at start, means j
+            # has two preimages
+            if j in seen:
+                raise InternalInvariantViolation(f"images {images} are not a permutation")
             cycle.append(j)
             seen.add(j)
             j = images[j]
@@ -290,9 +305,6 @@ def pgl2_order_census(p: int) -> dict[int, int]:
         if (a1 * a4 - a2 * a3) % p == 0:
             continue
         images = _act(p, matrix, points, points)
-        # cycle_decomposition would not end on a non-bijection
-        if len(set(images)) != p + 1:
-            raise InternalInvariantViolation(f"{matrix} does not permute P^1(F_{p})")
         order = lcm(*(len(c) for c in cycle_decomposition(images)))
         tally[order] = tally.get(order, 0) + 1
     if sum(tally.values()) != p * (p - 1) * (p + 1):

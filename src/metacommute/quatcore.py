@@ -204,6 +204,14 @@ def canonical_rep(h: HurwitzInt) -> HurwitzInt:
     return HurwitzInt._wrap(_kernels.canonical_min(h.coeffs))
 
 
+# below this bound primality is decided by trial division, above it by
+# Miller-Rabin; every p and q of the supported sweeps lies below it
+_TRIAL_DIVISION_BOUND = 10**6
+# the first 13 primes: Miller-Rabin to these bases is exact for
+# n < 3.3 * 10^24 (Sorenson & Webster 2015)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_rational_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -211,6 +219,8 @@ def _is_rational_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
+    if n >= _TRIAL_DIVISION_BOUND:
+        return _miller_rabin(n)
     f = 3
     while f * f <= n:
         if n % f == 0:
@@ -219,11 +229,41 @@ def _is_rational_prime(n: int) -> bool:
     return True
 
 
+def _miller_rabin(n: int) -> bool:
+    """Strong-probable-prime test of an odd n > 41 to _MILLER_RABIN_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _require_odd_prime(p: int) -> None:
     """The package's one odd-prime guard: the mod-p machinery needs p odd and
     prime, because 2 must be invertible and the conic must not degenerate."""
     if p == 2 or not _is_rational_prime(p):
         raise UnsupportedPrime(f"expected an odd rational prime, got {p}")
+
+
+def _norm_p_factor(h: tuple[int, int, int, int], p: int) -> tuple[int, int, int, int]:
+    """The canonical rep of gcrd(h, p), in doubled coordinates, checked to
+    have norm p: the prime of norm p that right-divides h."""
+    d = _kernels.canonical_min(_kernels.gcrd(h, (2 * p, 0, 0, 0)))
+    n = _kernels.norm(d)
+    if n != p:
+        raise InternalInvariantViolation(
+            f"gcrd({HurwitzInt._wrap(h)!r}, {p}) has norm {n}, expected {p}"
+        )
+    return d
 
 
 def is_prime(h: HurwitzInt) -> bool:
@@ -249,12 +289,7 @@ class PrimeClass:
     def dividing(cls, h: HurwitzInt, p: int) -> "PrimeClass":
         """The class of gcrd(h, p), which must have norm p: the prime of norm
         p that right-divides h."""
-        d = gcrd(h, HurwitzInt.scalar(p))
-        if d.norm() != p:
-            raise InternalInvariantViolation(
-                f"gcrd({h!r}, {p}) has norm {d.norm()}, expected {p}"
-            )
-        return cls(rep=d, p=p)
+        return cls(rep=HurwitzInt._wrap(_norm_p_factor(h.coeffs, p)), p=p)
 
     def __repr__(self) -> str:
         return f"PrimeClass({self.rep!r}, p={self.p})"
@@ -297,7 +332,6 @@ def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
 def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     """The p+1 left-associate classes of Hurwitz primes of odd prime norm p,
     sorted lexicographically by canonical representative."""
-    # the bound first: the guard's trial division is slow on a huge p
     if p > _PRIMES_MAX_P:
         raise ScaleLimit(f"prime classes are enumerated only for p <= {_PRIMES_MAX_P}")
     _require_odd_prime(p)

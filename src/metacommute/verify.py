@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from metacommute._kernels import mul, norm
 from metacommute.errors import ScaleLimit
 from metacommute.geometry import conic_points, conic_to_prime, trace_zero_rep
 from metacommute.metacomm import (
@@ -18,7 +19,6 @@ from metacommute.metacomm import (
     MetaQuery,
     analyze,
     meta_conj,
-    meta_divide,
     meta_permutation,
     order_count,
     pgl2_order_census,
@@ -26,8 +26,8 @@ from metacommute.metacomm import (
 )
 from metacommute.modp import QuotQuat, legendre, phi, phi_inv, two_square_rep
 from metacommute.quatcore import (
-    HurwitzInt,
     _is_rational_prime,
+    _norm_p_factor,
     elements_of_norm,
     primes_of_norm,
 )
@@ -154,40 +154,44 @@ def verify_cycles(p_max: int = 13, q_max: int = 13) -> VerifyReport:
     return _theorem("verify_cycles", p_max, q_max, _cycle_case)
 
 
-def _scalar_div(h: HurwitzInt, n: int) -> HurwitzInt | None:
-    if any(c % n for c in h.coeffs):
-        return None
-    return HurwitzInt(*(c // n for c in h.coeffs))
-
-
 def _oracle_cases(p_max: int, q_max: int):
+    """One case per class P and query (p, Q), on doubled-coordinate tuples.
+
+    Per p it holds each class's canonical rep and rank, and the class rank
+    of each conic point. The gcrd route runs on tuples through the public
+    kernels; the conjugation route is meta_conj itself; the projective
+    route reads the class of P's image point.
+    """
     p = None
     for query, perm in _permutations(p_max, q_max):
         if query.p != p:
-            # each class's position in the ground set, found once per p
             p = query.p
             classes = primes_of_norm(p)
+            reps = [P.rep.coeffs for P in classes]
+            rank = {t: i for i, t in enumerate(reps)}
             ground = perm.ground
             index_of = {c: i for i, c in enumerate(ground)}
             class_pos = [index_of[trace_zero_rep(P)] for P in classes]
-        Q = query.Q
-        for P, i in zip(classes, class_pos):
-            p_div = meta_divide(P, Q)
-            p_conj = meta_conj(P, Q)
-            p_perm = conic_to_prime(ground[perm.images[i]])
-            ok = p_div == p_conj == p_perm
+            point_class = [rank[conic_to_prime(c).rep.coeffs] for c in ground]
+        Q, q, images = query.Q, query.q, perm.images
+        qt = Q.coeffs
+        for P, P_t, i in zip(classes, reps, class_pos):
+            pq = mul(P_t, qt)
+            d = _norm_p_factor(pq, p)
+            c = meta_conj(P, Q).rep.coeffs
+            r = reps[point_class[images[i]]]
+            ok = d == c == r
             if ok:
-                pq = P.rep * Q
-                qprime = _scalar_div(pq * p_div.rep.conjugate(), p)
-                ok = (
-                    qprime is not None
-                    and qprime.norm() == query.q
-                    and qprime * p_div.rep == pq
-                )
+                # Q' = P Q conj(P') / p is integral, of norm q, and Q' P' = P Q
+                num = mul(pq, (d[0], -d[1], -d[2], -d[3]))
+                ok = not (num[0] % p or num[1] % p or num[2] % p or num[3] % p)
+                if ok:
+                    qprime = (num[0] // p, num[1] // p, num[2] // p, num[3] // p)
+                    ok = norm(qprime) == q and mul(qprime, d) == pq
             yield ok, lambda: (
-                f"oracle failure p={p} Q={list(Q.coeffs)} "
-                f"P={list(P.rep.coeffs)}: divide={list(p_div.rep.coeffs)} "
-                f"conj={list(p_conj.rep.coeffs)} perm={list(p_perm.rep.coeffs)} "
+                f"oracle failure p={p} Q={list(qt)} "
+                f"P={list(P_t)}: divide={list(d)} "
+                f"conj={list(c)} perm={list(r)} "
                 "(routes disagree or the product identity broke)"
             )
 

@@ -202,7 +202,7 @@ def _next_prime(n):
     ["primes", "--p", str(_next_prime(_PRIMES_MAX_P))],
 ])
 def test_p_above_its_bound_is_a_quick_usage_error(args):
-    # the trial-division guard would not end on a huge prime, and a cold
+    # a huge p must be refused before any per-p work, and a cold
     # primes_of_norm near the CLI bound takes minutes
     result = _run_subprocess(args, timeout=10)
     assert result.returncode == 2

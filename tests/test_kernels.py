@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacommute import _kernels
+from metacommute.quatcore import elements_of_norm
 
 
 def rand_tuple(rng, span=40):
@@ -95,3 +96,57 @@ def test_division_contract_holds_for_any_pair(a, b):
     assert tuple(x - y for x, y in zip(a, _kernels.mul(q, b))) == r
     assert _kernels.norm(r) < _kernels.norm(b)
     assert q == _reference_quotient(a, b)[0][1]
+
+
+def _reference_canonical_min(h):
+    """The 24-product loop that the linear-form kernel replaced."""
+    best = None
+    for u in _kernels._UNITS:
+        c = _kernels._mul_raw(u, h)
+        if best is None or c < best:
+            best = c
+    return best
+
+
+def _first_coordinate_ties(h):
+    """How many units reach the least first coordinate of u * h."""
+    firsts = [_kernels._mul_raw(u, h)[0] for u in _kernels._UNITS]
+    return firsts.count(min(firsts))
+
+
+def test_canonical_min_matches_the_reference_on_every_small_norm_element():
+    checked = tied = 0
+    for n in (3, 5, 7, 11, 13, 29, 97, 499):
+        for h in elements_of_norm(n):
+            assert _kernels.canonical_min(h.coeffs) == _reference_canonical_min(h.coeffs), h
+            checked += 1
+            tied += _first_coordinate_ties(h.coeffs) > 1
+    assert checked == 24 * (4 + 6 + 8 + 12 + 14 + 30 + 98 + 500)
+    assert tied > 1000  # several units tie on the first coordinate
+
+
+def test_canonical_min_matches_the_reference_on_seeded_tuples():
+    rng = random.Random(127)
+    tied = 0
+    for i in range(10_000):
+        h = rand_tuple(rng, span=40 if i % 2 else 2)
+        assert _kernels.canonical_min(h) == _reference_canonical_min(h), h
+        tied += _first_coordinate_ties(h) > 1
+    assert tied > 1000
+
+
+def test_canonical_min_rejects_what_the_reference_rejects():
+    # A + B + C + D odd: the half-integer units give non-integral products
+    for h in ((1, 0, 0, 0), (2, 1, 0, 0), (3, 3, 3, 0)):
+        with pytest.raises(ValueError):
+            _reference_canonical_min(h)
+        with pytest.raises(ValueError):
+            _kernels.canonical_min(h)
+    # A + B + C + D even but mixed parity: every product is still integral
+    assert _kernels.canonical_min((1, 1, 0, 0)) == _reference_canonical_min((1, 1, 0, 0))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_quat)
+def test_canonical_min_matches_the_reference_for_any_tuple(h):
+    assert _kernels.canonical_min(h) == _reference_canonical_min(h)

@@ -12,7 +12,9 @@ from metacommute.errors import (
     ScaleLimit,
     SingularMatrix,
 )
+from metacommute import metacomm
 from metacommute.geometry import (
+    ConicPoint,
     ProjPoint,
     conic_points,
     conic_to_prime,
@@ -34,7 +36,15 @@ from metacommute.metacomm import (
     predict,
     proj_table,
 )
-from metacommute.modp import FpMat2, inv_table, legendre, phi, reduce_mod, two_square_rep
+from metacommute.modp import (
+    FpMat2,
+    QuotQuat,
+    inv_table,
+    legendre,
+    phi,
+    reduce_mod,
+    two_square_rep,
+)
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
@@ -143,6 +153,49 @@ def test_central_q_fixes_every_class():
     for P in primes_of_norm(3):
         assert meta_divide(P, TWO_PLUS_3I) == P
         assert meta_conj(P, TWO_PLUS_3I) == P
+
+
+def reference_meta_conj(P, Q):
+    """The conjugation route on QuotQuat values, as it was written before it
+    moved to ints."""
+    p = P.p
+    c = trace_zero_rep(P)
+    qbar = reduce_mod(Q, p)
+    t2 = qbar.conjugate() * QuotQuat(p, 0, c.x, c.y, c.z) * qbar
+    assert t2.c1 == 0 and t2
+    return conic_to_prime(ConicPoint.normalized(p, t2.ci, t2.cj, t2.ck))
+
+
+def test_meta_conj_matches_the_reference_on_the_sweep():
+    count = 0
+    for p, Q in sweep_queries(13, 13):
+        for P in primes_of_norm(p):
+            assert meta_conj(P, Q) == reference_meta_conj(P, Q), (P, Q)
+            count += 1
+    assert count == 36576
+
+
+@pytest.mark.parametrize("p", [101, 499])
+def test_meta_conj_matches_the_reference_at_large_p(p):
+    rng = random.Random(p)
+    classes = primes_of_norm(p)
+    queries = 0
+    while queries < 60:
+        parity = rng.randrange(2)
+        Q = HurwitzInt(*(2 * rng.randrange(-30, 31) + parity for _ in range(4)))
+        if Q.norm() % p == 0:
+            continue
+        queries += 1
+        for P in rng.sample(classes, 20):
+            assert meta_conj(P, Q) == reference_meta_conj(P, Q), (P, Q)
+
+
+def test_meta_conj_rejects_a_lost_trace_zero_form(monkeypatch):
+    # conjugating the zero vector gives zero, which names no conic point
+    P = primes_of_norm(5)[0]
+    monkeypatch.setattr(metacomm, "trace_zero_rep", lambda P: ConicPoint(5, 0, 0, 0))
+    with pytest.raises(InternalInvariantViolation):
+        meta_conj(P, ONE_PLUS_I)
 
 
 def test_product_identity_qprime():
@@ -291,6 +344,12 @@ def test_cycle_decomposition():
     assert cycle_decomposition((1, 3, 0, 2)) == [[0, 1, 3, 2]]
 
 
+@pytest.mark.parametrize("images", [(1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0)])
+def test_cycle_decomposition_rejects_a_non_bijection(images, deadline):
+    with deadline(0.5), pytest.raises(InternalInvariantViolation):
+        cycle_decomposition(images)
+
+
 def test_analyze_identity():
     perm = Permutation(p=3, images=(0, 1, 2, 3))
     report = analyze(perm)
@@ -377,6 +436,20 @@ def test_census_frozen_and_matches_formula(p):
     assert sum(census.values()) == p * (p - 1) * (p + 1)
     for k in range(2, p + 2):
         assert census.get(k, 0) == order_count(k, p)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda p, matrix, keys, pos: (0,) * len(keys),  # not a bijection
+    lambda p, matrix, keys, pos: tuple(keys),  # every element the identity
+])
+def test_census_fails_with_a_broken_action(monkeypatch, deadline, broken):
+    monkeypatch.setattr(metacomm, "_act", broken)
+    with deadline(1):
+        try:
+            census = pgl2_order_census(5)
+        except InternalInvariantViolation:
+            return
+    assert census != FROZEN_CENSUS[5]
 
 
 def test_census_scale_limit():

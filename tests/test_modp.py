@@ -266,6 +266,12 @@ def test_legendre_examples():
     assert legendre(7, 7) == 0
 
 
+def test_legendre_at_a_huge_prime_ends_at_once(deadline):
+    # 2^61 - 1 is prime; the odd-prime guard must not trial-divide up to its root
+    with deadline(1):
+        assert legendre(2, 2305843009213693951) == 1
+
+
 def test_legendre_matches_square_table():
     for p in ODD_PRIMES + (17, 97):
         squares = {(x * x) % p for x in range(1, p)}

@@ -26,7 +26,9 @@ from metacommute.quatcore import (
     ONE,
     HurwitzInt,
     PrimeClass,
+    _TRIAL_DIVISION_BOUND,
     _is_rational_prime,
+    _miller_rabin,
     _norm_solutions,
     canonical_rep,
     elements_of_norm,
@@ -320,6 +322,36 @@ def test_is_prime_examples():
     assert is_prime(make(3, 1, 1, 1))          # norm 3
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 37
+    1024651,  # the Carmichael number 19 * 199 * 271
+])
+def test_pseudoprimes_are_not_primes(n):
+    assert n >= _TRIAL_DIVISION_BOUND
+    assert not _is_rational_prime(n)
+
+
+def test_huge_primes_are_primes():
+    for n in (2 ** 61 - 1, 2 ** 89 - 1, 1_000_003):
+        assert _is_rational_prime(n)
+    assert not _is_rational_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    rng = random.Random(131)
+    sample = [rng.randrange(10**6, 10**8) | 1 for _ in range(2000)]
+    primes = 0
+    for n in sample:
+        assert _miller_rabin(n) == _trial_division(n), n
+        primes += _trial_division(n)
+    assert primes > 50
+
+
 def test_prime_class_requires_prime_norm():
     with pytest.raises(NonPrimeNorm):
         PrimeClass.of(HurwitzInt.scalar(3))
@@ -389,7 +421,7 @@ def test_primes_of_norm_matches_the_orbit_minimum_below_500():
 
 @pytest.mark.parametrize("p", [5003, 2 ** 61 - 1])
 def test_primes_of_norm_rejects_p_above_its_bound_at_once(p):
-    # 2^61 - 1 is prime: the odd-prime guard would trial-divide for hours
+    # 2^61 - 1 is prime: its classes could never be enumerated
     with pytest.raises(ScaleLimit):
         primes_of_norm(p)
 
