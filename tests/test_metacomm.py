@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from metacommute import metacomm
 from metacommute.errors import (
     CoprimalityError,
     InternalInvariantViolation,
@@ -12,7 +13,6 @@ from metacommute.errors import (
     ScaleLimit,
     SingularMatrix,
 )
-from metacommute import metacomm
 from metacommute.geometry import (
     ConicPoint,
     ProjPoint,
