@@ -5,12 +5,13 @@ Quaternions are written as doubled-coordinate 4-tuples "[A,B,C,D]", meaning
 byte-stable for identical inputs and --seed.
 
 Exit codes: 0 success / everything verified, 1 verification failures,
-2 usage errors.
+2 usage errors, 141 stdout closed early (a reader such as `head` quit).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from metacommute import verify as verify_mod
@@ -302,10 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the status a shell reports for a process ended by SIGPIPE (128 + 13)
+_EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that quit early shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except (ParseError, ParityError, UnsupportedPrime, CoprimalityError,
             NonPrimeNorm, ScaleLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,8 @@ from metacommute.modp import (
     FpMat2,
     QuotQuat,
     TwoSquareRep,
-    phi,
+    _phi_entries,
+    inv_table,
     reduce_mod,
     sqrt_table,
 )
@@ -126,6 +127,22 @@ def conic_to_prime(c: ConicPoint) -> PrimeClass:
     return PrimeClass.dividing(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), c.p)
 
 
+def _proj_key(
+    p: int, rep: TwoSquareRep, inv: tuple[int, ...], x: int, y: int, z: int
+) -> int:
+    """The int key of conic_to_proj of the conic point (x : y : z): <1,m> is m
+    and <0,1> is p. inv is inv_table(p)."""
+    a1, a2, a3, a4 = _phi_entries(p, rep.a, rep.b, 0, x, y, z)
+    if (a1 + a4) % p or (a1 * a4 - a2 * a3) % p or not (a1 or a2 or a3 or a4):
+        raise InternalInvariantViolation(
+            f"phi image {(a1, a2, a3, a4)} of conic point {x}:{y}:{z} is not a "
+            "trace-zero rank-one matrix"
+        )
+    # a3 = 0 with trace 0 and det 0 forces the diagonal to vanish, leaving
+    # the projectively unique nilpotent [[0,1],[0,0]]: <0,1>
+    return a4 * inv[a3] % p if a3 else p
+
+
 def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:
     """Identify a conic point with a point of P^1(F_p).
 
@@ -134,17 +151,10 @@ def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:
     coordinates gives <0,1> when a3 = 0 and <1, a4/a3> otherwise.
     """
     p = c.p
-    m = phi(QuotQuat(p, 0, c.x, c.y, c.z), rep)
-    if m.trace() != 0 or m.det() != 0 or not any(m.entries):
-        raise InternalInvariantViolation(
-            f"phi image {m.entries} of conic point {c} is not a trace-zero "
-            "rank-one matrix"
-        )
-    if m.a3 == 0:
-        # trace 0 and det 0 force the diagonal to vanish here, leaving the
-        # projectively unique nilpotent [[0,1],[0,0]]
-        return ProjPoint(p, 0, 1)
-    return ProjPoint.normalized(p, m.a3, m.a4)
+    if p != rep.p:
+        raise ModulusMismatch(f"moduli differ: {p} vs {rep.p}")
+    key = _proj_key(p, rep, inv_table(p), c.x, c.y, c.z)
+    return ProjPoint(p, 0, 1) if key == p else ProjPoint(p, 1, key)
 
 
 def pgl2_act(pt: ProjPoint, A: FpMat2) -> ProjPoint:

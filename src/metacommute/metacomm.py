@@ -25,9 +25,9 @@ from metacommute.errors import (
 )
 from metacommute.geometry import (
     ConicPoint,
+    _proj_key,
     conic_points,
     conic_to_prime,
-    conic_to_proj,
     trace_zero_rep,
 )
 from metacommute.modp import (
@@ -156,20 +156,18 @@ class ProjTable:
 
 @lru_cache(maxsize=None)
 def proj_table(p: int) -> ProjTable:
-    """The projective route's table for p, built once: each conic point goes
-    through conic_to_proj, and its rank-one check, exactly once."""
+    """The projective route's table for p, built once on ints: each conic
+    point's key, with conic_to_proj's rank-one check, exactly once."""
     rep = two_square_rep(p)
-    keys = []
-    for c in conic_points(p):
-        pt = conic_to_proj(c, rep)
-        keys.append(pt.y if pt.x else p)
+    inv = inv_table(p)
+    keys = tuple(_proj_key(p, rep, inv, c.x, c.y, c.z) for c in conic_points(p))
     pos = [-1] * (p + 1)
     for i, key in enumerate(keys):
         pos[key] = i
     # p+1 keys in range(p+1): injective exactly when every key is hit
     if -1 in pos:
         raise InternalInvariantViolation("conic -> P^1 map is not injective")
-    return ProjTable(rep, tuple(keys), tuple(pos))
+    return ProjTable(rep, keys, tuple(pos))
 
 
 def _act(p: int, matrix: tuple[int, int, int, int], keys, pos) -> tuple[int, ...]:
@@ -210,21 +208,28 @@ def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
     at its smallest element, cycles sorted by that element."""
     seen: set[int] = set()
     cycles = []
-    for start in range(len(images)):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        j = images[start]
-        while j != start:
-            # a second visit to j, not closing the cycle at start, means j
-            # has two preimages
-            if j in seen:
-                raise InternalInvariantViolation(f"images {images} are not a permutation")
-            cycle.append(j)
-            seen.add(j)
-            j = images[j]
-        cycles.append(cycle)
+    try:
+        for start in range(len(images)):
+            if start in seen:
+                continue
+            cycle = [start]
+            seen.add(start)
+            j = images[start]
+            while j != start:
+                # a second visit to j, not closing the cycle at start, means j
+                # has two preimages
+                if j in seen:
+                    raise InternalInvariantViolation(
+                        f"images {images} are not a permutation"
+                    )
+                cycle.append(j)
+                seen.add(j)
+                j = images[j]
+            cycles.append(cycle)
+    except IndexError:
+        raise InternalInvariantViolation(
+            f"images {images} are not a permutation: an image is out of range"
+        ) from None
     return cycles
 
 

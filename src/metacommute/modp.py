@@ -197,6 +197,19 @@ class FpMat2:
         return cls(p, 1, 0, 0, 1)
 
 
+def _phi_entries(
+    p: int, a: int, b: int, g1: int, g2: int, g3: int, g4: int
+) -> tuple[int, int, int, int]:
+    """The row-major entries, in [0, p), of phi(g1 + g2 i + g3 j + g4 k) for
+    a^2 + b^2 = -1 mod p: the splitting formula, written only here."""
+    return (
+        (g1 + g2 * a + g4 * b) % p,
+        (g3 + g4 * a - g2 * b) % p,
+        (-g3 + g4 * a - g2 * b) % p,
+        (g1 - g2 * a - g4 * b) % p,
+    )
+
+
 def phi(gamma: QuotQuat, rep: TwoSquareRep) -> FpMat2:
     """The splitting isomorphism onto 2x2 matrices over F_p.
 
@@ -210,15 +223,7 @@ def phi(gamma: QuotQuat, rep: TwoSquareRep) -> FpMat2:
     """
     if gamma.p != rep.p:
         raise ModulusMismatch(f"moduli differ: {gamma.p} vs {rep.p}")
-    g1, g2, g3, g4 = gamma.coords
-    a, b = rep.a, rep.b
-    return FpMat2(
-        gamma.p,
-        g1 + g2 * a + g4 * b,
-        g3 + g4 * a - g2 * b,
-        -g3 + g4 * a - g2 * b,
-        g1 - g2 * a - g4 * b,
-    )
+    return FpMat2(gamma.p, *_phi_entries(gamma.p, rep.a, rep.b, *gamma.coords))
 
 
 def phi_inv(m: FpMat2, rep: TwoSquareRep) -> QuotQuat:

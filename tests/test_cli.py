@@ -202,13 +202,34 @@ def _next_prime(n):
     ["primes", "--p", str(_next_prime(_PRIMES_MAX_P))],
 ])
 def test_p_above_its_bound_is_a_quick_usage_error(args):
-    # a huge p must be refused before any per-p work, and a cold
-    # primes_of_norm near the CLI bound takes minutes
+    # a huge p must be refused before any per-p work, which at 10^18 would
+    # never end; a cold primes_of_norm near the CLI bound takes about 0.1 s
     result = _run_subprocess(args, timeout=10)
     assert result.returncode == 2
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
     assert b"error:" in result.stderr
+
+
+def test_a_reader_that_quits_early_gets_no_traceback():
+    # the JSON listing at p = 4999 is far larger than a pipe buffer, so the
+    # CLI is still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metacommute", "primes", "--p", "4999", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        returncode = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert b"Traceback" not in stderr
+    assert stderr == b""
+    assert returncode == 141
 
 
 # -------------------------------------------------------------- determinism

@@ -39,6 +39,7 @@ from metacommute.metacomm import (
 from metacommute.modp import (
     FpMat2,
     QuotQuat,
+    TwoSquareRep,
     inv_table,
     legendre,
     phi,
@@ -54,7 +55,7 @@ from metacommute.quatcore import (
     primes_of_norm,
     units,
 )
-from metacommute.verify import sweep_queries
+from metacommute.verify import odd_primes_up_to, sweep_queries
 
 ONE_PLUS_I = make(2, 2, 0, 0)
 TWO_PLUS_3I = make(4, 6, 0, 0)
@@ -329,6 +330,37 @@ def test_cold_and_warm_table_give_identical_permutations():
     assert cold.images == reference_images(11, query.Q)
 
 
+def _key_of(m):
+    """The int key of the bottom row (a3, a4) of a rank-one matrix."""
+    return m.a4 * pow(m.a3, -1, m.p) % m.p if m.a3 else m.p
+
+
+def test_proj_table_keys_match_the_phi_matrices_below_500():
+    for p in odd_primes_up_to(499):
+        rep = two_square_rep(p)
+        a, b = rep.a, rep.b
+        keys = []
+        for c in conic_points(p):
+            x, y, z = c.x, c.y, c.z
+            m = phi(QuotQuat(p, 0, x, y, z), rep)
+            # the splitting formula written out, so a fault that phi shares
+            # with the key build still shows
+            assert m == FpMat2(p, x * a + z * b, y + z * a - x * b,
+                               -y + z * a - x * b, -x * a - z * b), (p, c)
+            keys.append(_key_of(m))
+        assert proj_table(p).keys == tuple(keys), p
+
+
+def test_key_build_rejects_a_rep_that_does_not_split(monkeypatch):
+    # 0^2 + 0^2 is not -1 mod p, so phi of a conic point is not rank one
+    bad = TwoSquareRep(13, 0, 0)
+    with pytest.raises(InternalInvariantViolation):
+        conic_to_proj(conic_points(13)[0], bad)
+    monkeypatch.setattr(metacomm, "two_square_rep", lambda p: bad)
+    with pytest.raises(InternalInvariantViolation):
+        proj_table.__wrapped__(13)
+
+
 def test_table_route_rejects_a_singular_matrix():
     # bypasses MetaQuery.create, whose coprimality check rules this out
     query = MetaQuery(p=3, Q=make(0, 6, 0, 0), q=9, central=True)
@@ -344,7 +376,7 @@ def test_cycle_decomposition():
     assert cycle_decomposition((1, 3, 0, 2)) == [[0, 1, 3, 2]]
 
 
-@pytest.mark.parametrize("images", [(1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0)])
+@pytest.mark.parametrize("images", [(1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0), (5, 0), (0, 2)])
 def test_cycle_decomposition_rejects_a_non_bijection(images, deadline):
     with deadline(0.5), pytest.raises(InternalInvariantViolation):
         cycle_decomposition(images)

@@ -27,6 +27,7 @@ from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
     _TRIAL_DIVISION_BOUND,
+    _cone_candidates,
     _is_rational_prime,
     _miller_rabin,
     _norm_solutions,
@@ -417,6 +418,26 @@ def test_primes_of_norm_matches_the_orbit_minimum_below_500():
         if _is_rational_prime(p):
             got = [P.rep.coeffs for P in primes_of_norm(p)]
             assert got == _orbit_minimum_classes(p), p
+
+
+@pytest.mark.parametrize("p", [997, 1999])
+def test_primes_of_norm_matches_the_orbit_minimum_at_large_p(p, deadline):
+    primes_of_norm.cache_clear()
+    with deadline(10):
+        got = [P.rep.coeffs for P in primes_of_norm(p)]
+    assert got == _orbit_minimum_classes(p)
+
+
+def test_the_cone_holds_ties_that_canonical_min_resolves():
+    p = 101
+    cone = list(_cone_candidates(p))
+    # more candidates than classes, so the canonical_min filter does work
+    assert len(cone) > p + 1
+    assert cone == sorted(cone)
+    for A, B, C, D in cone:
+        assert _kernels.norm((A, B, C, D)) == p
+        assert -A >= abs(B) + abs(C) + abs(D)
+    assert {P.rep.coeffs for P in primes_of_norm(p)} <= set(cone)
 
 
 @pytest.mark.parametrize("p", [5003, 2 ** 61 - 1])
