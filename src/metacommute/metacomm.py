@@ -32,10 +32,9 @@ from metacommute.geometry import (
 )
 from metacommute.modp import (
     TwoSquareRep,
+    _phi_entries,
     inv_table,
     legendre,
-    phi,
-    reduce_mod,
     two_square_rep,
 )
 from metacommute.quatcore import (
@@ -199,7 +198,9 @@ def meta_permutation(query: MetaQuery) -> Permutation:
     """
     p = query.p
     table = proj_table(p)
-    matrix = phi(reduce_mod(query.Q, p), table.rep).entries
+    Q = query.Q
+    h = (p + 1) // 2  # the inverse of 2 mod p, which reduces Q on ints
+    matrix = _phi_entries(p, table.rep.a, table.rep.b, Q.A * h, Q.B * h, Q.C * h, Q.D * h)
     return Permutation(p=p, images=_act(p, matrix, table.keys, table.pos))
 
 
