@@ -1,5 +1,6 @@
 """CLI surface: parsing, schemas, exit codes and output determinism."""
 import json
+import os
 import subprocess
 import sys
 
@@ -211,7 +212,7 @@ def test_p_above_its_bound_is_a_quick_usage_error(args):
     assert b"error:" in result.stderr
 
 
-def test_a_reader_that_quits_early_gets_no_traceback():
+def test_a_reader_that_quits_early_gets_no_traceback(deadline):
     # the JSON listing at p = 4999 is far larger than a pipe buffer, so the
     # CLI is still writing when the reader closes its end
     proc = subprocess.Popen(
@@ -220,16 +221,37 @@ def test_a_reader_that_quits_early_gets_no_traceback():
         stderr=subprocess.PIPE,
     )
     try:
-        assert proc.stdout.readline() == b"[\n"
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        returncode = proc.wait(timeout=30)
+        with deadline(30):
+            assert proc.stdout.readline() == b"[\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            returncode = proc.wait()
     finally:
         proc.kill()
         proc.stderr.close()
     assert b"Traceback" not in stderr
     assert stderr == b""
     assert returncode == 141
+
+
+def test_a_reader_gone_before_the_flush_gets_no_traceback():
+    # stdout to a pipe is block-buffered, so the short listing at p = 13 is
+    # first written when the CLI flushes it, after the reader has gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "metacommute", "primes", "--p", "13"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 141
 
 
 # -------------------------------------------------------------- determinism
