@@ -4,14 +4,11 @@ All functions work on 4-tuples of doubled coordinates: the tuple
 (A, B, C, D) stands for the quaternion (A + Bi + Cj + Dk) / 2, with
 A, B, C, D all congruent mod 2.
 
-Every public kernel checks that its inputs lie within +-COORD_LIMIT, the
-package's supported coordinate range. The cap is far above anything the
-supported sweeps (p, q <= 97) produce.
+Every kernel is exact on ints of any size and checks only the parity and
+division invariants it relies on; bounding outside input is the caller's job.
 """
 
 from itertools import product as _product
-
-COORD_LIMIT = 1 << 14
 
 # the 24 units: +-1, +-i, +-j, +-k and (+-1 +-i +-j +-k)/2, in doubled
 # coordinates, lexicographically sorted
@@ -21,15 +18,8 @@ _UNITS = sorted(
 )
 
 
-def _check_range(t):
-    for v in t:
-        if not -COORD_LIMIT <= v <= COORD_LIMIT:
-            raise OverflowError(
-                f"doubled coordinate {v} outside supported range +-{COORD_LIMIT}"
-            )
-
-
-def _mul_raw(x, y):
+def mul(x, y):
+    """Hamilton product of two doubled-coordinate quadruples."""
     A, B, C, D = x
     E, F, G, H = y
     P = A * E - B * F - C * G - D * H
@@ -41,7 +31,7 @@ def _mul_raw(x, y):
     return (P >> 1, Q >> 1, R >> 1, S >> 1)
 
 
-def _norm_raw(x):
+def norm(x):
     A, B, C, D = x
     s = A * A + B * B + C * C + D * D
     if s & 3:
@@ -49,9 +39,15 @@ def _norm_raw(x):
     return s >> 2
 
 
-def _divmod_raw(a, b):
-    n = _norm_raw(b)
-    m0, m1, m2, m3 = _mul_raw(a, (b[0], -b[1], -b[2], -b[3]))
+def right_divmod(a, b):
+    """Return (q, r) with a = q*b + r and norm(r) < norm(b).
+
+    q is a nearest Hurwitz point to a * conj(b) / norm(b); among candidates
+    at equal squared distance the lexicographically least doubled
+    coordinates win. b must be nonzero.
+    """
+    n = norm(b)
+    m0, m1, m2, m3 = mul(a, (b[0], -b[1], -b[2], -b[3]))
     n2 = 2 * n
 
     # The quotient is a nearest point of the D4* lattice (doubled coordinates
@@ -77,35 +73,11 @@ def _divmod_raw(a, b):
             best = cand
     best_q = best[1]
 
-    qb = _mul_raw(best_q, b)
+    qb = mul(best_q, b)
     r = (a[0] - qb[0], a[1] - qb[1], a[2] - qb[2], a[3] - qb[3])
-    if _norm_raw(r) >= n:
+    if norm(r) >= n:
         raise ValueError("division failed to reduce the norm")
     return best_q, r
-
-
-def mul(x, y):
-    """Hamilton product of two doubled-coordinate quadruples."""
-    _check_range(x)
-    _check_range(y)
-    return _mul_raw(x, y)
-
-
-def norm(x):
-    _check_range(x)
-    return _norm_raw(x)
-
-
-def right_divmod(a, b):
-    """Return (q, r) with a = q*b + r and norm(r) < norm(b).
-
-    q is a nearest Hurwitz point to a * conj(b) / norm(b); among candidates
-    at equal squared distance the lexicographically least doubled
-    coordinates win. b must be nonzero.
-    """
-    _check_range(a)
-    _check_range(b)
-    return _divmod_raw(a, b)
 
 
 def gcrd(a, b):
@@ -114,17 +86,14 @@ def gcrd(a, b):
     Returns the last nonzero remainder, NOT canonicalized. At least one
     argument must be nonzero.
     """
-    _check_range(a)
-    _check_range(b)
     while b != (0, 0, 0, 0):
-        _, r = _divmod_raw(a, b)
+        _, r = right_divmod(a, b)
         a, b = b, r
     return a
 
 
 def canonical_min(h):
     """Lexicographic minimum of the 24 left-associates u * h."""
-    _check_range(h)
     A, B, C, D = h
     # every u * h is integral exactly when A + B + C + D is even
     if (A + B + C + D) & 1:
@@ -133,7 +102,7 @@ def canonical_min(h):
     # so only the units that minimise it need the full product
     firsts = [u0 * A - u1 * B - u2 * C - u3 * D for u0, u1, u2, u3 in _UNITS]
     least = min(firsts)
-    return min([_mul_raw(u, h) for u, f in zip(_UNITS, firsts) if f == least])
+    return min([mul(u, h) for u, f in zip(_UNITS, firsts) if f == least])
 
 
 def kernel_backend() -> str:

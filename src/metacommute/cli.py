@@ -15,7 +15,6 @@ import os
 import sys
 
 from metacommute import verify as verify_mod
-from metacommute._kernels import COORD_LIMIT
 from metacommute.errors import (
     CoprimalityError,
     MetacommuteError,
@@ -43,11 +42,22 @@ from metacommute.quatcore import (
 )
 
 
+# the largest --p: near it, conic, permute and orders take under 2 s cold
+# (Python 3.11, one core), and the trial-division prime guard is instant
+_P_MAX = 100_000
+
+# the largest |doubled coordinate| of a --Q literal; it bounds the work one
+# literal can cause, such as the primality test of N(Q)
+_COORD_LIMIT = 1 << 14
+
+
 def parse_quat(text: str) -> HurwitzInt:
     """Parse a doubled-coordinate literal "[A,B,C,D]" into a quaternion."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError; so is an int literal above Python's
+    # int-string conversion limit
+    except ValueError as exc:
         raise ParseError(f"not a quaternion literal {text!r}: {exc}") from None
     if (
         not isinstance(raw, list)
@@ -57,10 +67,10 @@ def parse_quat(text: str) -> HurwitzInt:
         raise ParseError(
             f"quaternion literal must be a list of 4 integers, got {text!r}"
         )
-    if any(abs(v) > COORD_LIMIT for v in raw):
+    if any(abs(v) > _COORD_LIMIT for v in raw):
         raise ParseError(
             f"quaternion literal {text!r} has a doubled coordinate outside "
-            f"the supported range +-{COORD_LIMIT}"
+            f"the supported range +-{_COORD_LIMIT}"
         )
     return HurwitzInt(*raw)
 
@@ -74,11 +84,6 @@ def _cycle_notation(images: tuple[int, ...]) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycles)
-
-
-# the largest --p: near it, conic, permute and orders take under 2 s cold
-# (Python 3.11, one core), and the trial-division prime guard is instant
-_P_MAX = 100_000
 
 
 def _odd_prime(value: str) -> int:

@@ -17,7 +17,6 @@ from metacommute.modp import (
     QuotQuat,
     TwoSquareRep,
     _phi_entries,
-    inv_table,
     reduce_mod,
     sqrt_table,
 )
@@ -127,11 +126,9 @@ def conic_to_prime(c: ConicPoint) -> PrimeClass:
     return PrimeClass.dividing(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), c.p)
 
 
-def _proj_key(
-    p: int, rep: TwoSquareRep, inv: tuple[int, ...], x: int, y: int, z: int
-) -> int:
+def _proj_key(p: int, rep: TwoSquareRep, x: int, y: int, z: int) -> int:
     """The int key of conic_to_proj of the conic point (x : y : z): <1,m> is m
-    and <0,1> is p. inv is inv_table(p)."""
+    and <0,1> is p."""
     a1, a2, a3, a4 = _phi_entries(p, rep.a, rep.b, 0, x, y, z)
     if (a1 + a4) % p or (a1 * a4 - a2 * a3) % p or not (a1 or a2 or a3 or a4):
         raise InternalInvariantViolation(
@@ -140,7 +137,7 @@ def _proj_key(
         )
     # a3 = 0 with trace 0 and det 0 forces the diagonal to vanish, leaving
     # the projectively unique nilpotent [[0,1],[0,0]]: <0,1>
-    return a4 * inv[a3] % p if a3 else p
+    return a4 * pow(a3, -1, p) % p if a3 else p
 
 
 def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:
@@ -153,7 +150,7 @@ def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:
     p = c.p
     if p != rep.p:
         raise ModulusMismatch(f"moduli differ: {p} vs {rep.p}")
-    key = _proj_key(p, rep, inv_table(p), c.x, c.y, c.z)
+    key = _proj_key(p, rep, c.x, c.y, c.z)
     return ProjPoint(p, 0, 1) if key == p else ProjPoint(p, 1, key)
 
 

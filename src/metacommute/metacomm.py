@@ -158,8 +158,7 @@ def proj_table(p: int) -> ProjTable:
     """The projective route's table for p, built once on ints: each conic
     point's key, with conic_to_proj's rank-one check, exactly once."""
     rep = two_square_rep(p)
-    inv = inv_table(p)
-    keys = tuple(_proj_key(p, rep, inv, c.x, c.y, c.z) for c in conic_points(p))
+    keys = tuple(_proj_key(p, rep, c.x, c.y, c.z) for c in conic_points(p))
     pos = [-1] * (p + 1)
     for i, key in enumerate(keys):
         pos[key] = i

@@ -26,6 +26,7 @@ from metacommute.metacomm import (
 )
 from metacommute.modp import QuotQuat, legendre, phi, phi_inv, two_square_rep
 from metacommute.quatcore import (
+    _PRIMES_MAX_P,
     _is_rational_prime,
     _norm_p_factor,
     elements_of_norm,
@@ -74,6 +75,12 @@ def sweep_queries(p_max: int, q_max: int):
                 continue
             for Q in elements_of_norm(q):
                 yield p, Q
+
+
+def _bound_p_max(p_max: int, limit: int, what: str) -> None:
+    """Reject a p_max beyond a per-p build's limit before any p is built."""
+    if p_max > limit:
+        raise ScaleLimit(f"{what} only for p_max <= {limit}")
 
 
 def _run(name: str, scope: dict, cases) -> VerifyReport:
@@ -205,6 +212,7 @@ def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyRepo
     P Q = Q' P' exactly. (seed is accepted for interface symmetry; the sweep
     is exhaustive and uses no randomness.)
     """
+    _bound_p_max(p_max, _PRIMES_MAX_P, "prime classes are enumerated")
     scope = {"p_max": p_max, "q_max": q_max, "seed": seed}
     return _run("verify_oracle", scope, _oracle_cases(p_max, q_max))
 
@@ -262,10 +270,7 @@ def _order_cases(p_max: int):
 def verify_orders(p_max: int = 13) -> VerifyReport:
     """Brute-force element-order census of the projective group matches the
     closed-form count for every order k."""
-    if p_max > _CENSUS_MAX_P:
-        raise ScaleLimit(
-            f"census enumerates the full group only for p_max <= {_CENSUS_MAX_P}"
-        )
+    _bound_p_max(p_max, _CENSUS_MAX_P, "census enumerates the full group")
     return _run("verify_orders", {"p_max": p_max}, _order_cases(p_max))
 
 
@@ -287,5 +292,6 @@ def _counting_cases(p_max: int, bijection_p_max: int):
 def verify_counting(p_max: int = 13, bijection_p_max: int = 13) -> VerifyReport:
     """Class and conic counts are both p+1; the trace-zero map is a bijection
     inverted by the gcrd lift (checked exhaustively up to bijection_p_max)."""
+    _bound_p_max(p_max, _PRIMES_MAX_P, "prime classes are enumerated")
     scope = {"p_max": p_max, "bijection_p_max": bijection_p_max}
     return _run("verify_counting", scope, _counting_cases(p_max, bijection_p_max))

@@ -28,8 +28,13 @@ def test_parse_quat_parity_violation():
     assert "parity" in str(err.value).lower() or "mod 2" in str(err.value)
 
 
+# more digits than Python converts from a string by default (4300)
+HUGE_LITERAL = "[1" + "0" * 5000 + ",0,0,0]"
+
+
 @pytest.mark.parametrize("bad", ["", "1,2,3,4", "[1,2,3]", "[1,2,3,4,5]",
-                                 '["a",2,3,4]', "[1.5,2,3,4]", "[true,1,1,1]"])
+                                 '["a",2,3,4]', "[1.5,2,3,4]", "[true,1,1,1]",
+                                 pytest.param(HUGE_LITERAL, id="5001-digit")])
 def test_parse_quat_rejects_garbage(bad):
     with pytest.raises((ParseError, ParityError)):
         parse_quat(bad)
@@ -81,6 +86,14 @@ def test_out_of_range_literal_is_usage_error(capsys, command, literal):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "supported range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_huge_literal_is_usage_error(capsys):
+    assert main(["permute", "--p", "13", "--Q", HUGE_LITERAL]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -201,6 +214,8 @@ def _next_prime(n):
     ["permute", "--p", "2305843009213693951", "--Q", "[2,2,0,0]"],
     ["conic", "--p", str(_next_prime(_P_MAX))],
     ["primes", "--p", str(_next_prime(_PRIMES_MAX_P))],
+    ["verify", "oracle", "--p-max", str(_next_prime(_PRIMES_MAX_P))],
+    ["verify", "counting", "--p-max", str(_next_prime(_PRIMES_MAX_P))],
 ])
 def test_p_above_its_bound_is_a_quick_usage_error(args):
     # a huge p must be refused before any per-p work, which at 10^18 would

@@ -15,7 +15,15 @@ from metacommute.geometry import (
     pgl2_act,
     trace_zero_rep,
 )
-from metacommute.modp import FpMat2, QuotQuat, phi, phi_inv, reduce_mod, two_square_rep
+from metacommute.modp import (
+    FpMat2,
+    QuotQuat,
+    inv_table,
+    phi,
+    phi_inv,
+    reduce_mod,
+    two_square_rep,
+)
 from metacommute.quatcore import HurwitzInt, PrimeClass, make, primes_of_norm
 from metacommute.verify import odd_primes_up_to
 
@@ -150,6 +158,15 @@ def test_conic_to_proj_nilpotent_point():
         special = images[ProjPoint(p, 0, 1)]
         m = phi(QuotQuat(p, 0, special.x, special.y, special.z), rep)
         assert m.a3 == 0 and m.a1 == 0 and m.a4 == 0 and m.a2 != 0
+
+
+def test_conic_to_proj_builds_no_inverse_table():
+    # one point at a fresh p needs one inverse, not the table of all p - 1
+    p = 99991
+    c = conic_points(p)[1]
+    inv_table.cache_clear()
+    conic_to_proj(c, two_square_rep(p))
+    assert inv_table.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)

@@ -1,5 +1,7 @@
-"""The integer kernels: range check, division contract and the D4* decoder."""
+"""The integer kernels: exactness at any size, the division contract and the
+D4* decoder."""
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,8 @@ def _reference_quotient(a, b):
     n = norm(b). Returns the least (squared distance, quotient) and the
     number of candidates at that distance (more than 1 is a tie).
     """
-    n = _kernels._norm_raw(b)
-    m = _kernels._mul_raw(a, (b[0], -b[1], -b[2], -b[3]))
+    n = _kernels.norm(b)
+    m = _kernels.mul(a, (b[0], -b[1], -b[2], -b[3]))
     n2 = 2 * n
     cands = []
     for parity in (0, 1):
@@ -43,14 +45,32 @@ def test_selected_backend_is_consistent():
     assert _kernels.kernel_backend() == "python"
 
 
-def test_range_check():
-    big = _kernels.COORD_LIMIT + 2
-    with pytest.raises(OverflowError):
-        _kernels.norm((big, 0, 0, 0))
-    with pytest.raises(OverflowError):
-        _kernels.mul((big, 0, 0, 0), (2, 0, 0, 0))
-    # the limit itself is inside the supported range
-    assert _kernels.norm((_kernels.COORD_LIMIT, 0, 0, 0)) == _kernels.COORD_LIMIT ** 2 // 4
+def _hamilton(x, y):
+    """The Hamilton product of (A + Bi + Cj + Dk) / 2 values, written out on
+    the undoubled components as exact fractions and doubled again."""
+    a, b, c, d = (Fraction(v, 2) for v in x)
+    e, f, g, h = (Fraction(v, 2) for v in y)
+    return tuple(2 * v for v in (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    ))
+
+
+def test_kernels_are_exact_beyond_the_cli_literal_range():
+    assert _kernels.norm((1 << 14, 0, 0, 0)) == (1 << 14) ** 2 // 4
+    rng = random.Random(131)
+    for bits in (15, 20, 30, 40):
+        for _ in range(200):
+            a, b = rand_tuple(rng, span=1 << bits), rand_tuple(rng, span=1 << bits)
+            assert _kernels.mul(a, b) == _hamilton(a, b)
+            assert _kernels.norm(a) == sum(Fraction(v, 2) ** 2 for v in a)
+            if b == (0, 0, 0, 0):
+                continue
+            q, r = _kernels.right_divmod(a, b)
+            assert tuple(x - y for x, y in zip(a, _kernels.mul(q, b))) == r
+            assert _kernels.norm(r) < _kernels.norm(b)
 
 
 def test_division_contract_on_seeded_pairs():
@@ -102,7 +122,7 @@ def _reference_canonical_min(h):
     """The 24-product loop that the linear-form kernel replaced."""
     best = None
     for u in _kernels._UNITS:
-        c = _kernels._mul_raw(u, h)
+        c = _kernels.mul(u, h)
         if best is None or c < best:
             best = c
     return best
@@ -110,7 +130,7 @@ def _reference_canonical_min(h):
 
 def _first_coordinate_ties(h):
     """How many units reach the least first coordinate of u * h."""
-    firsts = [_kernels._mul_raw(u, h)[0] for u in _kernels._UNITS]
+    firsts = [_kernels.mul(u, h)[0] for u in _kernels._UNITS]
     return firsts.count(min(firsts))
 
 

@@ -2,6 +2,7 @@
 predictions and the order-count formula."""
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -246,6 +247,30 @@ def test_permutation_matches_divide_route():
             for P in primes_of_norm(p):
                 i = pos[trace_zero_rep(P)]
                 assert conic_to_prime(ground[perm.images[i]]) == meta_divide(P, Q)
+
+
+def _four_squares(n):
+    """Some (a, b, c, d) with a^2 + b^2 + c^2 + d^2 = n."""
+    for a in range(isqrt(n), -1, -1):
+        for b in range(isqrt(n - a * a), -1, -1):
+            for c in range(isqrt(n - a * a - b * b), -1, -1):
+                r = n - a * a - b * b - c * c
+                if isqrt(r) ** 2 == r:
+                    return a, b, c, isqrt(r)
+
+
+@pytest.mark.parametrize("p", [8209, 99991])
+def test_routes_agree_above_the_old_cap(p):
+    # the gcrd with p starts from the doubled coordinate 2p, above the
+    # +-2^14 that bounds a CLI literal
+    P = PrimeClass.of(HurwitzInt(*(2 * v for v in _four_squares(p))))
+    ground = conic_points(p)
+    i = ground.index(trace_zero_rep(P))
+    for Q in (ONE_PLUS_I, make(1, 1, 1, 1), make(3, 1, 1, 1), make(5, -3, 7, 1)):
+        perm = meta_permutation(MetaQuery.create(p, Q))
+        want = conic_to_prime(ground[perm.images[i]])
+        assert want.p == p
+        assert meta_divide(P, Q) == meta_conj(P, Q) == want, Q
 
 
 def test_right_action_composition():
