@@ -51,6 +51,16 @@ _P_MAX = 100_000
 _COORD_LIMIT = 1 << 14
 
 
+# the most characters of an input that an error message echoes
+_ECHO_MAX = 40
+
+
+def _echo(text: str) -> str:
+    """text as an error message quotes it: cut to _ECHO_MAX characters and
+    "..." when longer, so a huge input gives a short error line."""
+    return text if len(text) <= _ECHO_MAX else text[:_ECHO_MAX] + "..."
+
+
 def parse_quat(text: str) -> HurwitzInt:
     """Parse a doubled-coordinate literal "[A,B,C,D]" into a quaternion."""
     try:
@@ -58,18 +68,18 @@ def parse_quat(text: str) -> HurwitzInt:
     # JSONDecodeError is a ValueError; so is an int literal above Python's
     # int-string conversion limit
     except ValueError as exc:
-        raise ParseError(f"not a quaternion literal {text!r}: {exc}") from None
+        raise ParseError(f"not a quaternion literal {_echo(text)!r}: {exc}") from None
     if (
         not isinstance(raw, list)
         or len(raw) != 4
         or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
     ):
         raise ParseError(
-            f"quaternion literal must be a list of 4 integers, got {text!r}"
+            f"quaternion literal must be a list of 4 integers, got {_echo(text)!r}"
         )
     if any(abs(v) > _COORD_LIMIT for v in raw):
         raise ParseError(
-            f"quaternion literal {text!r} has a doubled coordinate outside "
+            f"quaternion literal {_echo(text)!r} has a doubled coordinate outside "
             f"the supported range +-{_COORD_LIMIT}"
         )
     return HurwitzInt(*raw)
@@ -87,13 +97,21 @@ def _cycle_notation(images: tuple[int, ...]) -> str:
 
 
 def _odd_prime(value: str) -> int:
-    p = int(value)
+    try:
+        p = int(value)
+    except ValueError:
+        # argparse's own message for a failed conversion, with the value cut
+        raise argparse.ArgumentTypeError(
+            f"invalid _odd_prime value: {_echo(value)!r}"
+        ) from None
     if p > _P_MAX:
-        raise argparse.ArgumentTypeError(f"{p} is above the largest supported p, {_P_MAX}")
+        raise argparse.ArgumentTypeError(
+            f"{_echo(str(p))} is above the largest supported p, {_P_MAX}"
+        )
     try:
         _require_odd_prime(p)
     except UnsupportedPrime:
-        raise argparse.ArgumentTypeError(f"{p} is not an odd prime") from None
+        raise argparse.ArgumentTypeError(f"{_echo(str(p))} is not an odd prime") from None
     return p
 
 

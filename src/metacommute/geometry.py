@@ -12,14 +12,7 @@ from metacommute.errors import (
     ModulusMismatch,
     SingularMatrix,
 )
-from metacommute.modp import (
-    FpMat2,
-    QuotQuat,
-    TwoSquareRep,
-    _phi_entries,
-    reduce_mod,
-    sqrt_table,
-)
+from metacommute.modp import FpMat2, TwoSquareRep, _phi_entries, sqrt_table
 from metacommute.quatcore import HurwitzInt, PrimeClass, _require_odd_prime
 
 
@@ -92,31 +85,49 @@ def conic_points(p: int) -> tuple[ConicPoint, ...]:
     return tuple(pts)
 
 
+def _conjugate(p: int, h: tuple[int, int, int, int],
+               x: int, y: int, z: int) -> tuple[int, int, int]:
+    """The i, j, k coordinates, in [0, p), of conj(h) * (xi + yj + zk) * h
+    for h in doubled coordinates (a, b, c, d): the conjugation formula,
+    written only here.
+
+    Doubled coordinates scale the product by 4, a unit mod p, so it names
+    the same projective point as the conjugate by the quaternion h/2.
+    """
+    a, b, c, d = h
+    # v = conj(h) * (0, x, y, z)
+    v1 = b * x + c * y + d * z
+    v2 = a * x - c * z + d * y
+    v3 = a * y + b * z - d * x
+    v4 = a * z - b * y + c * x
+    # w = v * h, whose real part conjugation keeps at 0
+    if (v1 * a - v2 * b - v3 * c - v4 * d) % p:
+        raise InternalInvariantViolation("conjugation lost the trace-zero form")
+    return (
+        (v1 * b + v2 * a + v3 * d - v4 * c) % p,
+        (v1 * c - v2 * d + v3 * a + v4 * b) % p,
+        (v1 * d + v2 * c - v3 * b + v4 * a) % p,
+    )
+
+
 @lru_cache(maxsize=None)
 def trace_zero_rep(P: PrimeClass) -> ConicPoint:
     """The conic point of a prime class: coordinates of the unique-up-to-
     scaling trace-zero element t = ai + bj + ck of the reduced left ideal
     generated by the class mod p.
+
+    conj(P) * e * P lies in that ideal and has trace N(P) tr(e) = 0 for
+    e = i, j, k; the first of them that does not vanish mod p is t.
     """
     p = P.p
     _require_odd_prime(p)
-    pbar = reduce_mod(P.rep, p)
-    t = None
-    if pbar.trace() == 0:
-        t = pbar
-    else:
-        tr0 = pbar.trace()
-        for e in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-            v = QuotQuat(p, *e) * pbar
-            w = v.scale(tr0) + pbar.scale(-v.trace())
-            if w:
-                t = w
-                break
-    if t is None or t.c1 != 0 or t.norm() != 0:
-        raise InternalInvariantViolation(
-            f"no trace-zero generator found for {P!r}"
-        )
-    return ConicPoint.normalized(p, t.ci, t.cj, t.ck)
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        x, y, z = _conjugate(p, P.rep.coeffs, *e)
+        if x or y or z:
+            break
+    if not (x or y or z) or (x * x + y * y + z * z) % p:
+        raise InternalInvariantViolation(f"no trace-zero point on the conic for {P!r}")
+    return ConicPoint.normalized(p, x, y, z)
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ from metacommute.errors import (
 )
 from metacommute.geometry import (
     ConicPoint,
+    _conjugate,
     _proj_key,
     conic_points,
     conic_to_prime,
@@ -111,32 +112,19 @@ def meta_divide(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
 
 def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     """The partner class via conjugation of the trace-zero representative:
-    the conic point of conj(Qbar) * t * Qbar.
+    the conic point of conj(Q) * t * Q mod p.
 
-    conj(Qbar) = N(Q) Qbar^-1 and N(Q) is a unit mod p, so this is a nonzero
-    multiple of Qbar^-1 * t * Qbar: the same projective point.
+    conj(Q) = N(Q) Q^-1 and N(Q) is a unit mod p, so this is a nonzero
+    multiple of Q^-1 * t * Q: the same projective point.
     """
     p = P.p
     _require_odd_prime(p)
     _check_coprime(p, Q)
     t = trace_zero_rep(P)
-    x, y, z = t.x, t.y, t.z
-    # Qbar = (a, b, c, d) mod p, with (p + 1) // 2 the inverse of 2
-    h = (p + 1) // 2
-    a, b, c, d = Q.A * h % p, Q.B * h % p, Q.C * h % p, Q.D * h % p
-    # v = conj(Qbar) * (0, x, y, z)
-    v1 = b * x + c * y + d * z
-    v2 = a * x - c * z + d * y
-    v3 = a * y + b * z - d * x
-    v4 = a * z - b * y + c * x
-    # w = v * Qbar
-    w1 = (v1 * a - v2 * b - v3 * c - v4 * d) % p
-    w2 = (v1 * b + v2 * a + v3 * d - v4 * c) % p
-    w3 = (v1 * c - v2 * d + v3 * a + v4 * b) % p
-    w4 = (v1 * d + v2 * c - v3 * b + v4 * a) % p
-    if w1 != 0 or not (w2 or w3 or w4):
-        raise InternalInvariantViolation("conjugation lost the trace-zero form")
-    return conic_to_prime(ConicPoint.normalized(p, w2, w3, w4))
+    x, y, z = _conjugate(p, Q.coeffs, t.x, t.y, t.z)
+    if not (x or y or z):
+        raise InternalInvariantViolation("conjugation by Q sent the conic point to 0")
+    return conic_to_prime(ConicPoint.normalized(p, x, y, z))
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,9 +185,8 @@ def meta_permutation(query: MetaQuery) -> Permutation:
     """
     p = query.p
     table = proj_table(p)
-    Q = query.Q
-    h = (p + 1) // 2  # the inverse of 2 mod p, which reduces Q on ints
-    matrix = _phi_entries(p, table.rep.a, table.rep.b, Q.A * h, Q.B * h, Q.C * h, Q.D * h)
+    # the doubled coordinates give the matrix of 2Q, which acts as Q does
+    matrix = _phi_entries(p, table.rep.a, table.rep.b, *query.Q.coeffs)
     return Permutation(p=p, images=_act(p, matrix, table.keys, table.pos))
 
 

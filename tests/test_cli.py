@@ -94,6 +94,8 @@ def test_huge_literal_is_usage_error(capsys):
     assert main(["permute", "--p", "13", "--Q", HUGE_LITERAL]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    # the error echoes the start of the literal, not all of it
+    assert len(captured.err) < 300
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -216,15 +218,19 @@ def _next_prime(n):
     ["primes", "--p", str(_next_prime(_PRIMES_MAX_P))],
     ["verify", "oracle", "--p-max", str(_next_prime(_PRIMES_MAX_P))],
     ["verify", "counting", "--p-max", str(_next_prime(_PRIMES_MAX_P))],
+    # more digits than Python converts from a string
+    ["primes", "--p", "1" + "0" * 5000],
 ])
 def test_p_above_its_bound_is_a_quick_usage_error(args):
     # a huge p must be refused before any per-p work, which at 10^18 would
-    # never end; a cold primes_of_norm near the CLI bound takes about 0.1 s
+    # never end; a cold primes_of_norm near the CLI bound takes about 0.05 s
     result = _run_subprocess(args, timeout=10)
     assert result.returncode == 2
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
     assert b"error:" in result.stderr
+    # the error echoes the start of p, not all of it
+    assert len(result.stderr) < 300
 
 
 def test_a_reader_that_quits_early_gets_no_traceback(deadline):

@@ -5,9 +5,16 @@ import random
 
 import pytest
 
-from metacommute.errors import ModulusMismatch, SingularMatrix, UnsupportedPrime
+from metacommute import geometry
+from metacommute.errors import (
+    InternalInvariantViolation,
+    ModulusMismatch,
+    SingularMatrix,
+    UnsupportedPrime,
+)
 from metacommute.geometry import (
     ConicPoint,
+    _conjugate,
     ProjPoint,
     conic_points,
     conic_to_prime,
@@ -107,6 +114,52 @@ def test_trace_zero_point_is_killed_by_conjugate():
             t = reduce_mod(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), p)
             assert t.norm() == 0
             assert not t * reduce_mod(P.rep.conjugate(), p)
+
+
+def _reference_trace_zero_rep(P):
+    """Reference: the trace combination on QuotQuat values. With pbar the
+    class mod p, tr(pbar) * (e pbar) - tr(e pbar) * pbar lies in the left
+    ideal and has trace 0; pbar itself does when its trace is 0."""
+    p = P.p
+    pbar = reduce_mod(P.rep, p)
+    tr0 = pbar.trace()
+    t = pbar
+    if tr0:
+        for e in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+            v = QuotQuat(p, *e) * pbar
+            t = v.scale(tr0) + pbar.scale(-v.trace())
+            if t:
+                break
+    assert t.c1 == 0 and t.norm() == 0
+    return ConicPoint.normalized(p, t.ci, t.cj, t.ck)
+
+
+def test_trace_zero_rep_matches_the_quotient_algebra_reference_below_500():
+    for p in odd_primes_up_to(499):
+        for P in primes_of_norm(p):
+            assert trace_zero_rep(P) == _reference_trace_zero_rep(P), P
+
+
+@pytest.mark.parametrize("t", [(0, 0, 0), (1, 0, 0)], ids=["zero", "off-conic"])
+def test_trace_zero_rep_rejects_a_point_off_the_conic(monkeypatch, t):
+    monkeypatch.setattr(geometry, "_conjugate", lambda p, h, x, y, z: t)
+    with pytest.raises(InternalInvariantViolation):
+        trace_zero_rep.__wrapped__(primes_of_norm(13)[0])
+
+
+def test_conjugate_is_the_doubled_conjugation_of_the_value_types():
+    # conj(H) T H for H = h/2 has doubled coordinates D; conj(h) t h is 4
+    # times that quaternion, so its coordinates are 2 D
+    rng = random.Random(73)
+    for p in ODD_PRIMES + (499,):
+        for _ in range(100):
+            parity = rng.randrange(2)
+            h = tuple(2 * rng.randrange(-20, 21) + parity for _ in range(4))
+            x, y, z = (rng.randrange(p) for _ in range(3))
+            H = HurwitzInt(*h)
+            D = H.conjugate() * HurwitzInt(0, 2 * x, 2 * y, 2 * z) * H
+            assert D.A == 0
+            assert _conjugate(p, h, x, y, z) == (2 * D.B % p, 2 * D.C % p, 2 * D.D % p)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)

@@ -56,7 +56,7 @@ from metacommute.quatcore import (
     primes_of_norm,
     units,
 )
-from metacommute.verify import odd_primes_up_to, sweep_queries
+from metacommute.verify import odd_primes_up_to, sweep_queries, verify_oracle
 
 ONE_PLUS_I = make(2, 2, 0, 0)
 TWO_PLUS_3I = make(4, 6, 0, 0)
@@ -198,6 +198,21 @@ def test_meta_conj_rejects_a_lost_trace_zero_form(monkeypatch):
     monkeypatch.setattr(metacomm, "trace_zero_rep", lambda P: ConicPoint(5, 0, 0, 0))
     with pytest.raises(InternalInvariantViolation):
         meta_conj(P, ONE_PLUS_I)
+
+
+def test_the_routes_build_no_quotient_algebra_value(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a route built a QuotQuat")
+
+    monkeypatch.setattr(QuotQuat, "__init__", refuse)
+    for P in primes_of_norm(13):
+        assert trace_zero_rep.__wrapped__(P) == trace_zero_rep(P)
+    for p, Q in sweep_queries(13, 13):
+        images = meta_permutation(MetaQuery.create(p, Q)).images
+        index = {c: i for i, c in enumerate(conic_points(p))}
+        for P in primes_of_norm(p):
+            assert images[index[trace_zero_rep(P)]] == index[trace_zero_rep(meta_conj(P, Q))]
+    assert verify_oracle(5, 5).passed
 
 
 def test_product_identity_qprime():

@@ -440,6 +440,17 @@ def test_the_cone_holds_ties_that_canonical_min_resolves():
     assert {P.rep.coeffs for P in primes_of_norm(p)} <= set(cone)
 
 
+def test_every_interior_cone_candidate_is_canonical():
+    # primes_of_norm skips canonical_min strictly inside the cone, where A is
+    # the strict least of the 24 first coordinates
+    for p in range(3, 500, 2):
+        if not _is_rational_prime(p):
+            continue
+        for A, B, C, D in _cone_candidates(p):
+            if -A > abs(B) + abs(C) + abs(D):
+                assert _kernels.canonical_min((A, B, C, D)) == (A, B, C, D), p
+
+
 @pytest.mark.parametrize("p", [5003, 2 ** 61 - 1])
 def test_primes_of_norm_rejects_p_above_its_bound_at_once(p):
     # 2^61 - 1 is prime: its classes could never be enumerated
