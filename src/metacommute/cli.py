@@ -18,7 +18,6 @@ from metacommute import verify as verify_mod
 from metacommute.errors import (
     CoprimalityError,
     MetacommuteError,
-    NonPrimeNorm,
     ParityError,
     ParseError,
     ScaleLimit,
@@ -35,16 +34,11 @@ from metacommute.metacomm import (
 )
 from metacommute.modp import phi, reduce_mod, two_square_rep
 from metacommute.quatcore import (
+    _P_MAX,
     HurwitzInt,
-    _is_rational_prime,
     _require_odd_prime,
     primes_of_norm,
 )
-
-
-# the largest --p: near it, conic, permute and orders take under 2 s cold
-# (Python 3.11, one core), and the trial-division prime guard is instant
-_P_MAX = 100_000
 
 # the largest |doubled coordinate| of a --Q literal; it bounds the work one
 # literal can cause, such as the primality test of N(Q)
@@ -96,14 +90,16 @@ def _cycle_notation(images: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cycles)
 
 
-def _odd_prime(value: str) -> int:
+def _int(value: str) -> int:
     try:
-        p = int(value)
+        return int(value)
     except ValueError:
         # argparse's own message for a failed conversion, with the value cut
-        raise argparse.ArgumentTypeError(
-            f"invalid _odd_prime value: {_echo(value)!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(value)!r}") from None
+
+
+def _odd_prime(value: str) -> int:
+    p = _int(value)
     if p > _P_MAX:
         raise argparse.ArgumentTypeError(
             f"{_echo(str(p))} is above the largest supported p, {_P_MAX}"
@@ -141,8 +137,9 @@ def _permute_payload(args) -> dict:
     query = MetaQuery.create(args.p, parse_quat(args.Q))
     perm = meta_permutation(query)
     report = analyze(perm)
+    psign, pfixed = predict(query)
     acting = phi(reduce_mod(query.Q, query.p), two_square_rep(query.p))
-    payload = {
+    return {
         "p": query.p,
         "q": query.q,
         "Q": list(query.Q.coeffs),
@@ -155,17 +152,10 @@ def _permute_payload(args) -> dict:
         "fixed": report.fixed_count,
         "cycle_lengths": list(report.cycle_lengths),
         "uniform_length": report.uniform_length,
+        "predicted_sign": psign,
+        "predicted_fixed": pfixed,
+        "pass": report.sign == psign and report.fixed_count == pfixed,
     }
-    if _is_rational_prime(query.q):
-        psign, pfixed = predict(query)
-        payload["predicted_sign"] = psign
-        payload["predicted_fixed"] = pfixed
-        payload["pass"] = report.sign == psign and report.fixed_count == pfixed
-    else:
-        payload["predicted_sign"] = None
-        payload["predicted_fixed"] = None
-        payload["pass"] = None
-    return payload
 
 
 def cmd_permute(args) -> int:
@@ -178,14 +168,12 @@ def cmd_permute(args) -> int:
         print(f"ground:  {'  '.join(payload['ground'])}")
         print(f"images:  {payload['images']}")
         print(f"cycles:  {payload['cycles']}")
-        line = (f"sign={payload['sign']} fixed={payload['fixed']} "
-                f"cycle_lengths={payload['cycle_lengths']}")
-        if payload["pass"] is not None:
-            line += (f"  (predicted sign={payload['predicted_sign']} "
-                     f"fixed={payload['predicted_fixed']}; "
-                     f"{'match' if payload['pass'] else 'MISMATCH'})")
-        print(line)
-    return 0 if payload["pass"] in (True, None) else 1
+        print(f"sign={payload['sign']} fixed={payload['fixed']} "
+              f"cycle_lengths={payload['cycle_lengths']}  "
+              f"(predicted sign={payload['predicted_sign']} "
+              f"fixed={payload['predicted_fixed']}; "
+              f"{'match' if payload['pass'] else 'MISMATCH'})")
+    return 0 if payload["pass"] else 1
 
 
 def cmd_predict(args) -> int:
@@ -301,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     sp.set_defaults(func=cmd_permute)
 
-    sp = sub.add_parser("predict", help="predicted sign and fixed points (prime N(Q))")
+    sp = sub.add_parser("predict", help="predicted sign and fixed points (N(Q) coprime to p)")
     sp.add_argument("--p", type=_odd_prime, required=True)
     sp.add_argument("--Q", required=True, metavar="[A,B,C,D]")
     add_format(sp)
@@ -318,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         csp = checks.add_parser(check)
         for name in params:
             # an absent flag sets no attribute, so verify_<check> applies its default
-            csp.add_argument("--" + name.replace("_", "-"), type=int,
+            csp.add_argument("--" + name.replace("_", "-"), type=_int,
                              default=argparse.SUPPRESS, dest=name)
         add_format(csp)
         csp.set_defaults(func=cmd_verify)
@@ -344,7 +332,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
     except (ParseError, ParityError, UnsupportedPrime, CoprimalityError,
-            NonPrimeNorm, ScaleLimit) as exc:
+            ScaleLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MetacommuteError as exc:  # internal defect, not a usage problem

@@ -34,8 +34,7 @@ class CoprimalityError(MetacommuteError, ValueError):
 
 
 class NonPrimeNorm(MetacommuteError, ValueError):
-    """A norm is not a rational prime: a prime class and the sign /
-    fixed-point predictions need one."""
+    """A norm is not a rational prime: a prime class needs one."""
 
 
 class ScaleLimit(MetacommuteError, ValueError):

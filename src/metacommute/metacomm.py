@@ -19,7 +19,6 @@ from math import gcd, lcm
 from metacommute.errors import (
     CoprimalityError,
     InternalInvariantViolation,
-    NonPrimeNorm,
     ScaleLimit,
     SingularMatrix,
 )
@@ -41,7 +40,6 @@ from metacommute.modp import (
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
-    _is_rational_prime,
     _require_odd_prime,
 )
 
@@ -235,14 +233,11 @@ def analyze(perm: Permutation) -> PermReport:
 
 
 def predict(query: MetaQuery) -> tuple[int, int]:
-    """Predicted (sign, fixed point count) for a query with prime N(Q):
+    """Predicted (sign, fixed point count) for any query, prime N(Q) or not:
     sign is the quadratic character of q mod p; the fixed-point count is
     1 + legendre(tr(Q)^2 - 4q, p), except that a central reduction fixes
-    all p+1 points."""
-    if not _is_rational_prime(query.q):
-        raise NonPrimeNorm(
-            f"predictions need a prime N(Q); got {query.q}"
-        )
+    all p+1 points. Both hold because the permutation is the action of the
+    image of Q in the projective group, which needs only q coprime to p."""
     sign = legendre(query.q, query.p)
     if query.central:
         return sign, query.p + 1

@@ -32,6 +32,11 @@ from metacommute.errors import (
 # p = 4999 (Python 3.11, one core)
 _PRIMES_MAX_P = 5000
 
+# the largest p of any per-p build outside primes_of_norm: near it, one cold
+# conic_points, meta_permutation or projective-group count takes under 2 s
+# (Python 3.11, one core), and the trial-division prime guard is instant
+_P_MAX = 100_000
+
 
 class HurwitzInt:
     """An element of the Hurwitz order, in doubled coordinates."""

@@ -24,8 +24,9 @@ from metacommute.metacomm import (
     pgl2_order_census,
     predict,
 )
-from metacommute.modp import QuotQuat, legendre, phi, phi_inv, two_square_rep
+from metacommute.modp import QuotQuat, phi, phi_inv, two_square_rep
 from metacommute.quatcore import (
+    _P_MAX,
     _PRIMES_MAX_P,
     _is_rational_prime,
     _norm_p_factor,
@@ -34,6 +35,12 @@ from metacommute.quatcore import (
 )
 
 MAX_FAILURES_KEPT = 10
+
+# random (gamma, delta) pairs per p in verify_phi
+_PHI_PAIRS = 1000
+
+# verify_counting checks the trace-zero bijection exhaustively up to this p
+_BIJECTION_P_MAX = 13
 
 
 @dataclass
@@ -77,10 +84,11 @@ def sweep_queries(p_max: int, q_max: int):
                 yield p, Q
 
 
-def _bound_p_max(p_max: int, limit: int, what: str) -> None:
-    """Reject a p_max beyond a per-p build's limit before any p is built."""
-    if p_max > limit:
-        raise ScaleLimit(f"{what} only for p_max <= {limit}")
+def _bound(flag: str, value: int, limit: int, what: str) -> None:
+    """Reject a scope flag beyond the limit of the per-p or per-q build it
+    drives, before any prime is listed."""
+    if value > limit:
+        raise ScaleLimit(f"{what} only for {flag} <= {limit}")
 
 
 def _run(name: str, scope: dict, cases) -> VerifyReport:
@@ -110,12 +118,14 @@ def _permutations(p_max: int, q_max: int):
 
 def _theorem(name: str, p_max: int, q_max: int, check) -> VerifyReport:
     """Run check(query, analyze(perm)) -> (ok, describe) over the sweep."""
+    _bound("p_max", p_max, _P_MAX, "permutations are built")
+    _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
     cases = (check(query, analyze(perm)) for query, perm in _permutations(p_max, q_max))
     return _run(name, {"p_max": p_max, "q_max": q_max}, cases)
 
 
 def _sign_case(query, rep):
-    want = legendre(query.q, query.p)
+    want, _ = predict(query)
     return rep.sign == want, lambda: (
         f"sign mismatch p={query.p} Q={list(query.Q.coeffs)}: "
         f"got {rep.sign}, predicted {want}"
@@ -212,12 +222,13 @@ def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyRepo
     P Q = Q' P' exactly. (seed is accepted for interface symmetry; the sweep
     is exhaustive and uses no randomness.)
     """
-    _bound_p_max(p_max, _PRIMES_MAX_P, "prime classes are enumerated")
+    _bound("p_max", p_max, _PRIMES_MAX_P, "prime classes are enumerated")
+    _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
     scope = {"p_max": p_max, "q_max": q_max, "seed": seed}
     return _run("verify_oracle", scope, _oracle_cases(p_max, q_max))
 
 
-def _phi_cases(p_max: int, seed: int, pairs: int):
+def _phi_cases(p_max: int, seed: int):
     for p in odd_primes_up_to(p_max):
         rep = two_square_rep(p)
         one = QuotQuat(p, 1, 0, 0, 0)
@@ -235,7 +246,7 @@ def _phi_cases(p_max: int, seed: int, pairs: int):
         yield relations_ok, lambda: f"defining relations fail at p={p}"
 
         rng = random.Random(seed * 1_000_003 + p)
-        for _ in range(pairs):
+        for _ in range(_PHI_PAIRS):
             g = QuotQuat(p, *(rng.randrange(p) for _ in range(4)))
             d = QuotQuat(p, *(rng.randrange(p) for _ in range(4)))
             mg, md = phi(g, rep), phi(d, rep)
@@ -249,11 +260,12 @@ def _phi_cases(p_max: int, seed: int, pairs: int):
             yield ok, lambda: f"phi identity fails p={p} gamma={g.coords} delta={d.coords}"
 
 
-def verify_phi(p_max: int = 13, seed: int = 0, pairs: int = 1000) -> VerifyReport:
+def verify_phi(p_max: int = 13, seed: int = 0) -> VerifyReport:
     """The splitting map is a ring homomorphism transporting norm to det and
     trace to trace, satisfies the defining relations, and round-trips."""
-    scope = {"p_max": p_max, "seed": seed, "pairs": pairs}
-    return _run("verify_phi", scope, _phi_cases(p_max, seed, pairs))
+    _bound("p_max", p_max, _P_MAX, "splittings are built")
+    scope = {"p_max": p_max, "seed": seed, "pairs": _PHI_PAIRS}
+    return _run("verify_phi", scope, _phi_cases(p_max, seed))
 
 
 def _order_cases(p_max: int):
@@ -270,18 +282,18 @@ def _order_cases(p_max: int):
 def verify_orders(p_max: int = 13) -> VerifyReport:
     """Brute-force element-order census of the projective group matches the
     closed-form count for every order k."""
-    _bound_p_max(p_max, _CENSUS_MAX_P, "census enumerates the full group")
+    _bound("p_max", p_max, _CENSUS_MAX_P, "census enumerates the full group")
     return _run("verify_orders", {"p_max": p_max}, _order_cases(p_max))
 
 
-def _counting_cases(p_max: int, bijection_p_max: int):
+def _counting_cases(p_max: int):
     for p in odd_primes_up_to(p_max):
         classes = primes_of_norm(p)
         points = conic_points(p)
         yield len(classes) == p + 1 == len(points), lambda: (
             f"count mismatch p={p}: {len(classes)} classes, {len(points)} conic points"
         )
-        if p <= bijection_p_max:
+        if p <= _BIJECTION_P_MAX:
             mapped = [trace_zero_rep(P) for P in classes]
             ok = sorted(mapped) == list(points) and all(
                 conic_to_prime(c) == P for P, c in zip(classes, mapped)
@@ -289,9 +301,9 @@ def _counting_cases(p_max: int, bijection_p_max: int):
             yield ok, lambda: f"trace-zero map is not a bijection with inverse at p={p}"
 
 
-def verify_counting(p_max: int = 13, bijection_p_max: int = 13) -> VerifyReport:
+def verify_counting(p_max: int = 13) -> VerifyReport:
     """Class and conic counts are both p+1; the trace-zero map is a bijection
-    inverted by the gcrd lift (checked exhaustively up to bijection_p_max)."""
-    _bound_p_max(p_max, _PRIMES_MAX_P, "prime classes are enumerated")
-    scope = {"p_max": p_max, "bijection_p_max": bijection_p_max}
-    return _run("verify_counting", scope, _counting_cases(p_max, bijection_p_max))
+    inverted by the gcrd lift (checked exhaustively up to _BIJECTION_P_MAX)."""
+    _bound("p_max", p_max, _PRIMES_MAX_P, "prime classes are enumerated")
+    scope = {"p_max": p_max, "bijection_p_max": _BIJECTION_P_MAX}
+    return _run("verify_counting", scope, _counting_cases(p_max))

@@ -49,7 +49,7 @@ def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_counting():
-    report = verify_counting(p_max=53, bijection_p_max=13)
+    report = verify_counting(p_max=53)
     counts_ok = report.passed
     # spot-check the counts directly as well
     for p in odd_primes_up_to(53):
@@ -70,7 +70,7 @@ def test_criterion_1_counting():
 
 
 def test_criterion_2_isomorphism():
-    report = verify_phi(p_max=13, seed=0, pairs=1000)
+    report = verify_phi(p_max=13, seed=0)
     # 1000 pairs for each p in {3,5,7,11,13}, plus one relations case per p
     ok = report.passed and report.cases_run == 5 * 1001 and report.elapsed < 5.0
     _report(

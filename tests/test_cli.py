@@ -75,8 +75,10 @@ def test_permute_coprimality_is_usage_error(capsys):
     assert main(["permute", "--p", "3", "--Q", "[0,6,0,0]"]) == 2
 
 
-def test_predict_composite_norm_is_usage_error(capsys):
-    assert main(["predict", "--p", "3", "--Q", "[2,2,2,2]"]) == 2
+def test_predict_composite_norm_prints_the_prediction(capsys):
+    # N(Q) = 4 is coprime to p = 3, which is all the predictions need
+    assert main(["predict", "--p", "3", "--Q", "[2,2,2,2]"]) == 0
+    assert capsys.readouterr().out.endswith(": sign=1 fixed=1\n")
 
 
 @pytest.mark.parametrize("command", ["permute", "predict"])
@@ -196,12 +198,15 @@ def test_verify_orders_beyond_census_limit_is_usage_error(capsys):
     assert captured.out == ""
 
 
-def test_permute_composite_norm_reports_null_predictions(capsys):
+def test_permute_composite_norm_matches_its_prediction(capsys):
     assert main(["permute", "--p", "3", "--Q", "[2,2,2,2]", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["q"] == 4
-    assert payload["predicted_sign"] is None
-    assert payload["pass"] is None
+    assert payload["predicted_sign"] == payload["sign"] == 1
+    assert payload["predicted_fixed"] == payload["fixed"] == 1
+    assert payload["pass"] is True
+    assert main(["permute", "--p", "3", "--Q", "[2,2,2,2]"]) == 0
+    assert "(predicted sign=1 fixed=1; match)" in capsys.readouterr().out
 
 
 def _next_prime(n):
@@ -220,6 +225,11 @@ def _next_prime(n):
     ["verify", "counting", "--p-max", str(_next_prime(_PRIMES_MAX_P))],
     # more digits than Python converts from a string
     ["primes", "--p", "1" + "0" * 5000],
+    ["verify", "signs", "--p-max", str(_next_prime(_P_MAX))],
+    ["verify", "phi", "--p-max", str(_next_prime(_P_MAX))],
+    ["verify", "oracle", "--q-max", str(_next_prime(_PRIMES_MAX_P))],
+    ["verify", "signs", "--q-max", str(_next_prime(_PRIMES_MAX_P))],
+    ["verify", "oracle", "--p-max", "1" + "0" * 5000],
 ])
 def test_p_above_its_bound_is_a_quick_usage_error(args):
     # a huge p must be refused before any per-p work, which at 10^18 would

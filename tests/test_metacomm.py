@@ -10,7 +10,6 @@ from metacommute import metacomm
 from metacommute.errors import (
     CoprimalityError,
     InternalInvariantViolation,
-    NonPrimeNorm,
     ScaleLimit,
     SingularMatrix,
 )
@@ -50,6 +49,7 @@ from metacommute.modp import (
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
+    _is_rational_prime,
     canonical_rep,
     elements_of_norm,
     make,
@@ -303,12 +303,12 @@ def test_right_action_composition():
 
 
 def test_permutation_for_composite_norm_exists():
-    # the map only needs coprimality; norm 4 is fine at p = 3
+    # the map and its predictions only need coprimality; norm 4 is fine at p = 3
     query = MetaQuery.create(3, make(2, 2, 2, 2))
     perm = meta_permutation(query)
     assert sorted(perm.images) == [0, 1, 2, 3]
-    with pytest.raises(NonPrimeNorm):
-        predict(query)
+    report = analyze(perm)
+    assert predict(query) == (report.sign, report.fixed_count) == (1, 1)
 
 
 def reference_images(p, Q):
@@ -481,6 +481,25 @@ def test_predict_central():
 
 def test_predict_p5_q2():
     assert predict(MetaQuery.create(5, ONE_PLUS_I)) == (-1, 2)
+
+
+def test_predict_matches_analyze_for_every_composite_norm():
+    # the permutation is the action of Q's image in the projective group, so
+    # the sign and fixed-point predictions need only N(Q) coprime to p
+    central = MetaQuery.create(3, make(4, 0, 0, 0))  # Q = 2 fixes all 4 points
+    assert predict(central) == (1, 4)
+    count = 0
+    for p in odd_primes_up_to(13):
+        for n in range(4, 31):
+            if n % p == 0 or _is_rational_prime(n):
+                continue
+            for Q in elements_of_norm(n):
+                query = MetaQuery.create(p, Q)
+                report = analyze(meta_permutation(query))
+                assert predict(query) == (report.sign, report.fixed_count), (p, Q)
+                count += 1
+    # a scope that skipped a norm or a p would show here
+    assert count == 21_768
 
 
 # -------------------------------------------------------------- order counts
