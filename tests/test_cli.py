@@ -232,8 +232,9 @@ def _next_prime(n):
     ["verify", "oracle", "--p-max", "1" + "0" * 5000],
 ])
 def test_p_above_its_bound_is_a_quick_usage_error(args):
-    # a huge p must be refused before any per-p work, which at 10^18 would
-    # never end; a cold primes_of_norm near the CLI bound takes about 0.05 s
+    # a huge p or q must be refused before any per-p or per-q work, which at
+    # 10^18 would never end; a cold primes_of_norm near the CLI bound takes
+    # about 0.05 s
     result = _run_subprocess(args, timeout=10)
     assert result.returncode == 2
     assert result.stdout == b""
