@@ -39,6 +39,81 @@ def norm(x):
     return s >> 2
 
 
+def _divide(a, b, n):
+    """One right division of a by b, where n = norm(b) > 0.
+
+    Returns (q, r, norm(r)) with a = q*b + r and norm(r) < n. q is a nearest
+    Hurwitz point to a * conj(b) / n; among candidates at equal squared
+    distance the lexicographically least doubled coordinates win. The
+    products a * conj(b) and q * b are written out on local ints, each with
+    the parity check of mul, and norm(r) keeps the parity check of norm.
+    """
+    A, B, C, D = a
+    E, F, G, H = b
+    m0 = A * E + B * F + C * G + D * H
+    m1 = B * E - A * F - C * H + D * G
+    m2 = C * E - A * G + B * H - D * F
+    m3 = D * E - A * H - B * G + C * F
+    if (m0 | m1 | m2 | m3) & 1:
+        raise ValueError("non-integral product; parity constraint violated")
+    m0 >>= 1
+    m1 >>= 1
+    m2 >>= 1
+    m3 >>= 1
+
+    # The quotient is a nearest point of the D4* lattice (doubled coordinates
+    # all even or all odd) to m / n (Conway & Sloane 1982). Within one coset
+    # the squared distance splits by coordinate, so rounding each coordinate
+    # half-down gives that coset's lexicographically least nearest point;
+    # the lesser (distance, coords) of the two coset winners is then the
+    # least nearest point overall. Half-down rounding of c / 2n is
+    # (c + n - 1) // 2n (even coset); of (c - n) / 2n it is (c - 1) // 2n
+    # (odd coset).
+    n2 = 2 * n
+    up = n - 1
+    e0 = 2 * ((m0 + up) // n2)
+    e1 = 2 * ((m1 + up) // n2)
+    e2 = 2 * ((m2 + up) // n2)
+    e3 = 2 * ((m3 + up) // n2)
+    o0 = 2 * ((m0 - 1) // n2) + 1
+    o1 = 2 * ((m1 - 1) // n2) + 1
+    o2 = 2 * ((m2 - 1) // n2) + 1
+    o3 = 2 * ((m3 - 1) // n2) + 1
+    d0 = m0 - n * e0
+    d1 = m1 - n * e1
+    d2 = m2 - n * e2
+    d3 = m3 - n * e3
+    even = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+    d0 = m0 - n * o0
+    d1 = m1 - n * o1
+    d2 = m2 - n * o2
+    d3 = m3 - n * o3
+    odd = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+    if odd < even or odd == even and (o0, o1, o2, o3) < (e0, e1, e2, e3):
+        q0, q1, q2, q3 = o0, o1, o2, o3
+    else:
+        q0, q1, q2, q3 = e0, e1, e2, e3
+
+    # r = a - q * b
+    s0 = q0 * E - q1 * F - q2 * G - q3 * H
+    s1 = q0 * F + q1 * E + q2 * H - q3 * G
+    s2 = q0 * G - q1 * H + q2 * E + q3 * F
+    s3 = q0 * H + q1 * G - q2 * F + q3 * E
+    if (s0 | s1 | s2 | s3) & 1:
+        raise ValueError("non-integral product; parity constraint violated")
+    r0 = A - (s0 >> 1)
+    r1 = B - (s1 >> 1)
+    r2 = C - (s2 >> 1)
+    r3 = D - (s3 >> 1)
+    s = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+    if s & 3:
+        raise ValueError("non-integral norm; parity constraint violated")
+    s >>= 2
+    if s >= n:
+        raise ValueError("division failed to reduce the norm")
+    return (q0, q1, q2, q3), (r0, r1, r2, r3), s
+
+
 def right_divmod(a, b):
     """Return (q, r) with a = q*b + r and norm(r) < norm(b).
 
@@ -46,63 +121,60 @@ def right_divmod(a, b):
     at equal squared distance the lexicographically least doubled
     coordinates win. b must be nonzero.
     """
-    n = norm(b)
-    m0, m1, m2, m3 = mul(a, (b[0], -b[1], -b[2], -b[3]))
-    n2 = 2 * n
-
-    # The quotient is a nearest point of the D4* lattice (doubled coordinates
-    # all even or all odd) to m / n (Conway & Sloane 1982). Within one coset
-    # the squared distance splits by coordinate, so rounding each coordinate
-    # half-down gives that coset's lexicographically least nearest point;
-    # comparing the two coset winners by (distance, coords) then picks the
-    # least nearest point overall. Half-down rounding of c / 2n is
-    # (c + n - 1) // 2n (even coset); of (c - n) / 2n it is (c - 1) // 2n
-    # (odd coset).
-    best = None
-    for bias, parity in ((n - 1, 0), (-1, 1)):
-        q0 = 2 * ((m0 + bias) // n2) + parity
-        q1 = 2 * ((m1 + bias) // n2) + parity
-        q2 = 2 * ((m2 + bias) // n2) + parity
-        q3 = 2 * ((m3 + bias) // n2) + parity
-        d0 = m0 - n * q0
-        d1 = m1 - n * q1
-        d2 = m2 - n * q2
-        d3 = m3 - n * q3
-        cand = (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3, (q0, q1, q2, q3))
-        if best is None or cand < best:
-            best = cand
-    best_q = best[1]
-
-    qb = mul(best_q, b)
-    r = (a[0] - qb[0], a[1] - qb[1], a[2] - qb[2], a[3] - qb[3])
-    if norm(r) >= n:
-        raise ValueError("division failed to reduce the norm")
-    return best_q, r
+    q, r, _ = _divide(a, b, norm(b))
+    return q, r
 
 
 def gcrd(a, b):
     """Greatest common right divisor via the right-division Euclidean loop.
 
     Returns the last nonzero remainder, NOT canonicalized. At least one
-    argument must be nonzero.
+    argument must be nonzero. Each step runs _divide, and the norm of its
+    remainder is the next divisor's norm, so no norm is computed twice.
     """
-    while b != (0, 0, 0, 0):
-        _, r = right_divmod(a, b)
-        a, b = b, r
+    n = norm(b)
+    while n:
+        _, r, n_r = _divide(a, b, n)
+        a, b, n = b, r, n_r
     return a
 
 
+def _signs(v):
+    """The signs s with s * v = -|v|: both of them when v is 0."""
+    return (1, -1) if not v else ((-1,) if v > 0 else (1,))
+
+
 def canonical_min(h):
-    """Lexicographic minimum of the 24 left-associates u * h."""
+    """Lexicographic minimum of the 24 left-associates u * h.
+
+    The first doubled coordinate of u * h is (u0 A - u1 B - u2 C - u3 D) / 2,
+    a linear form in the doubled unit u. With x = (A, -B, -C, -D), its least
+    value over the 24 units is -max(2 max|x_i|, sum |x_i|): an axis unit
+    +-2 e_i reaches -2|x_i|, a half unit (+-1, +-1, +-1, +-1) reaches
+    -sum |x_i| when each sign is opposite to x_i's. So only the units that
+    reach it need the full product: the axis units on a coordinate where
+    |x_i| is largest when 2 max >= sum, and the half units whose signs
+    oppose x, with both signs on a zero coordinate, when sum >= 2 max.
+    """
     A, B, C, D = h
     # every u * h is integral exactly when A + B + C + D is even
     if (A + B + C + D) & 1:
         raise ValueError("non-integral product; parity constraint violated")
-    # the first doubled coordinate of u * h is (u0 A - u1 B - u2 C - u3 D) / 2,
-    # so only the units that minimise it need the full product
-    firsts = [u0 * A - u1 * B - u2 * C - u3 * D for u0, u1, u2, u3 in _UNITS]
-    least = min(firsts)
-    return min([mul(u, h) for u, f in zip(_UNITS, firsts) if f == least])
+    x = (A, -B, -C, -D)
+    size = (abs(A), abs(B), abs(C), abs(D))
+    top = 2 * max(size)
+    total = sum(size)
+    units = []
+    if top >= total:
+        for i, v in enumerate(x):
+            if 2 * size[i] == top:
+                for s in _signs(v):
+                    u = [0, 0, 0, 0]
+                    u[i] = 2 * s
+                    units.append(tuple(u))
+    if total >= top:
+        units.extend(_product(*map(_signs, x)))
+    return min([mul(u, h) for u in units])
 
 
 def kernel_backend() -> str:

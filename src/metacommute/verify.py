@@ -42,6 +42,10 @@ _PHI_PAIRS = 1000
 # verify_counting checks the trace-zero bijection exhaustively up to this p
 _BIJECTION_P_MAX = 13
 
+# the most cases one oracle or theorem sweep may hold; p, q <= 97 holds
+# 26,492,976 and takes about 20 minutes on the oracle
+_SWEEP_MAX_CASES = 30_000_000
+
 
 @dataclass
 class VerifyReport:
@@ -91,6 +95,26 @@ def _bound(flag: str, value: int, limit: int, what: str) -> None:
         raise ScaleLimit(f"{what} only for {flag} <= {limit}")
 
 
+def _bound_sweep(p_max: int, q_max: int) -> int:
+    """Return the number of cases in the sweep over sweep_queries(p_max,
+    q_max), rejecting a sweep above _SWEEP_MAX_CASES before it starts.
+
+    The count is the sum of (p+1) n(q) over odd primes p <= p_max and primes
+    q <= q_max with q != p, where n(q) = #elements_of_norm(q) is 24 for
+    q = 2 and 24(q+1) otherwise. It is the oracle's case count and the
+    number of permutation images a theorem sweep computes.
+    """
+    per_q = {q: 24 if q == 2 else 24 * (q + 1) for q in primes_up_to(q_max)}
+    every_q = sum(per_q.values())
+    size = sum((p + 1) * (every_q - per_q.get(p, 0)) for p in odd_primes_up_to(p_max))
+    if size > _SWEEP_MAX_CASES:
+        raise ScaleLimit(
+            f"p_max={p_max}, q_max={q_max} holds {size} cases; "
+            f"a sweep runs at most {_SWEEP_MAX_CASES}"
+        )
+    return size
+
+
 def _run(name: str, scope: dict, cases) -> VerifyReport:
     """Time a sweep and record each of its (ok, describe) cases.
 
@@ -120,6 +144,7 @@ def _theorem(name: str, p_max: int, q_max: int, check) -> VerifyReport:
     """Run check(query, analyze(perm)) -> (ok, describe) over the sweep."""
     _bound("p_max", p_max, _P_MAX, "permutations are built")
     _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
+    _bound_sweep(p_max, q_max)
     cases = (check(query, analyze(perm)) for query, perm in _permutations(p_max, q_max))
     return _run(name, {"p_max": p_max, "q_max": q_max}, cases)
 
@@ -224,6 +249,7 @@ def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyRepo
     """
     _bound("p_max", p_max, _PRIMES_MAX_P, "prime classes are enumerated")
     _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
+    _bound_sweep(p_max, q_max)
     scope = {"p_max": p_max, "q_max": q_max, "seed": seed}
     return _run("verify_oracle", scope, _oracle_cases(p_max, q_max))
 
