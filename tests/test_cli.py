@@ -230,11 +230,14 @@ def _next_prime(n):
     ["verify", "oracle", "--q-max", str(_next_prime(_PRIMES_MAX_P))],
     ["verify", "signs", "--q-max", str(_next_prime(_PRIMES_MAX_P))],
     ["verify", "oracle", "--p-max", "1" + "0" * 5000],
+    # each flag in range, but the sweep holds over 30 million cases
+    ["verify", "oracle", "--p-max", "3", "--q-max", "3000"],
+    ["verify", "signs", "--p-max", "99991", "--q-max", "13"],
 ])
 def test_p_above_its_bound_is_a_quick_usage_error(args):
-    # a huge p or q must be refused before any per-p or per-q work, which at
-    # 10^18 would never end; a cold primes_of_norm near the CLI bound takes
-    # about 0.05 s
+    # a huge p or q, or a sweep of too many cases, must be refused before any
+    # per-p or per-q work, which at 10^18 would never end; a cold
+    # primes_of_norm near the CLI bound takes about 0.05 s
     result = _run_subprocess(args, timeout=10)
     assert result.returncode == 2
     assert result.stdout == b""

@@ -2,6 +2,7 @@
 D4* decoder."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,55 @@ def test_division_contract_holds_for_any_pair(a, b):
     assert q == _reference_quotient(a, b)[0][1]
 
 
+def _reference_right_divmod(a, b):
+    """The coset loop that _kernels._divide unrolled: the two D4* coset
+    winners as candidate tuples, the lesser (distance, coords) kept, and the
+    products and norms through the public kernels."""
+    n = _kernels.norm(b)
+    m0, m1, m2, m3 = _kernels.mul(a, (b[0], -b[1], -b[2], -b[3]))
+    n2 = 2 * n
+    best = None
+    for bias, parity in ((n - 1, 0), (-1, 1)):
+        q = tuple(2 * ((m + bias) // n2) + parity for m in (m0, m1, m2, m3))
+        d = [m - n * c for m, c in zip((m0, m1, m2, m3), q)]
+        cand = (sum(x * x for x in d), q)
+        if best is None or cand < best:
+            best = cand
+    qb = _kernels.mul(best[1], b)
+    r = tuple(x - y for x, y in zip(a, qb))
+    if _kernels.norm(r) >= n:
+        raise ValueError("division failed to reduce the norm")
+    return best[1], r
+
+
+def _reference_gcrd(a, b):
+    """The Euclid loop that recomputed norm(b) on every step."""
+    while b != (0, 0, 0, 0):
+        _, r = _reference_right_divmod(a, b)
+        a, b = b, r
+    return a
+
+
+def test_gcrd_and_right_divmod_match_the_coset_loop():
+    rng = random.Random(137)
+    zero = (0, 0, 0, 0)
+    pairs = [(zero, (6, 0, 0, 0)), ((3, 1, 1, 1), zero), (zero, (1, -1, 1, 1))]
+    for i in range(3_000):
+        span = (3, 40, 1 << 40)[i % 3]
+        a = rand_tuple(rng, span)
+        if i % 4 == 0:
+            # the oracle's case: a product P Q against the scalar p
+            p = rng.choice((3, 5, 13, 97, 99_991))
+            pairs.append((_kernels.mul(a, rand_tuple(rng, 5)), (2 * p, 0, 0, 0)))
+        else:
+            # small divisors put m / n on half-way points often
+            pairs.append((a, rand_tuple(rng, (1, span)[i % 2])))
+    for a, b in pairs:
+        assert _kernels.gcrd(a, b) == _reference_gcrd(a, b), (a, b)
+        if b != zero:
+            assert _kernels.right_divmod(a, b) == _reference_right_divmod(a, b), (a, b)
+
+
 def _reference_canonical_min(h):
     """The 24-product loop that the linear-form kernel replaced."""
     best = None
@@ -153,6 +203,16 @@ def test_canonical_min_matches_the_reference_on_seeded_tuples():
         assert _kernels.canonical_min(h) == _reference_canonical_min(h), h
         tied += _first_coordinate_ties(h) > 1
     assert tied > 1000
+
+
+def test_canonical_min_matches_the_reference_on_every_small_tuple():
+    # zero coordinates, ties 2 max|x| = sum |x| and mixed parities included
+    checked = 0
+    for h in product(range(-4, 5), repeat=4):
+        if sum(h) % 2 == 0:
+            assert _kernels.canonical_min(h) == _reference_canonical_min(h), h
+            checked += 1
+    assert checked == (9 ** 4 + 1) // 2
 
 
 def test_canonical_min_rejects_what_the_reference_rejects():

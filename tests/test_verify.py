@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from metacommute import _kernels, verify
+from metacommute.errors import ScaleLimit
 from metacommute.metacomm import MetaQuery, Permutation, meta_conj, meta_permutation
 from metacommute.quatcore import _norm_p_factor, primes_of_norm
 
@@ -30,6 +31,16 @@ def _wrong_norm(cls, p, Q):
     # the q that the product identity N(Q') = q is checked against
     query = _create(p, Q)
     return dataclasses.replace(query, q=query.q + 1)
+
+
+def test_the_sweep_size_is_the_oracle_case_count():
+    assert verify._bound_sweep(5, 5) == 1392
+    assert verify._bound_sweep(13, 13) == 36_576
+    # the largest scope run so far, counted without running it
+    assert verify._bound_sweep(97, 97) == 26_492_976
+    assert verify._bound_sweep(97, 97) <= verify._SWEEP_MAX_CASES
+    with pytest.raises(ScaleLimit):
+        verify._bound_sweep(3, 3000)
 
 
 def test_the_unpatched_oracle_passes():
