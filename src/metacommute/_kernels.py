@@ -160,20 +160,23 @@ def canonical_min(h):
     # every u * h is integral exactly when A + B + C + D is even
     if (A + B + C + D) & 1:
         raise ValueError("non-integral product; parity constraint violated")
-    x = (A, -B, -C, -D)
-    size = (abs(A), abs(B), abs(C), abs(D))
-    top = 2 * max(size)
-    total = sum(size)
+    a, b, c, d = abs(A), abs(B), abs(C), abs(D)
+    top = 2 * max(a, b, c, d)
+    total = a + b + c + d
     units = []
     if top >= total:
-        for i, v in enumerate(x):
-            if 2 * size[i] == top:
-                for s in _signs(v):
-                    u = [0, 0, 0, 0]
-                    u[i] = 2 * s
-                    units.append(tuple(u))
+        # a zero coordinate reaches top only when h is 0, which the half
+        # units below cover
+        if 2 * a == top:
+            units.append((-2 if A > 0 else 2, 0, 0, 0))
+        if 2 * b == top:
+            units.append((0, 2 if B > 0 else -2, 0, 0))
+        if 2 * c == top:
+            units.append((0, 0, 2 if C > 0 else -2, 0))
+        if 2 * d == top:
+            units.append((0, 0, 0, 2 if D > 0 else -2))
     if total >= top:
-        units.extend(_product(*map(_signs, x)))
+        units += _product(_signs(A), _signs(-B), _signs(-C), _signs(-D))
     return min([mul(u, h) for u in units])
 
 
