@@ -42,8 +42,8 @@ _PHI_PAIRS = 1000
 # verify_counting checks the trace-zero bijection exhaustively up to this p
 _BIJECTION_P_MAX = 13
 
-# the most cases one oracle or theorem sweep may hold; p, q <= 97 holds
-# 26,492,976 and takes about 20 minutes on the oracle
+# the most cases one oracle or theorem sweep may hold; p, q <= 97, the
+# largest scope run in full, holds 26,492,976
 _SWEEP_MAX_CASES = 30_000_000
 
 

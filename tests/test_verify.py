@@ -38,7 +38,6 @@ def test_the_sweep_size_is_the_oracle_case_count():
     assert verify._bound_sweep(13, 13) == 36_576
     # the largest scope run so far, counted without running it
     assert verify._bound_sweep(97, 97) == 26_492_976
-    assert verify._bound_sweep(97, 97) <= verify._SWEEP_MAX_CASES
     with pytest.raises(ScaleLimit):
         verify._bound_sweep(3, 3000)
 
