@@ -37,8 +37,26 @@ class ConicPoint:
             raise ValueError(f"({x}:{y}:{z}) is not on the conic mod {p}")
         return pt
 
+    @classmethod
+    def _wrap(cls, p: int, x: int, y: int, z: int) -> "ConicPoint":
+        # internal fast path for a normalized point on the conic, both
+        # checked by the caller
+        pt = _new(cls)
+        _set_p(pt, p)
+        _set_x(pt, x)
+        _set_y(pt, y)
+        _set_z(pt, z)
+        return pt
+
     def __str__(self) -> str:
         return f"{self.x}:{self.y}:{self.z}"
+
+
+# the frozen dataclass's slot setters, which bypass its __setattr__
+_new = object.__new__
+_set_p, _set_x, _set_y, _set_z = (
+    ConicPoint.__dict__[s].__set__ for s in ConicPoint.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -69,11 +87,11 @@ def conic_points(p: int) -> tuple[ConicPoint, ...]:
     pts = []
 
     def add(x: int, y: int, r: int) -> None:
-        # the points (x:y:z) with z^2 = r^2, in ascending z
+        # the points (x:y:z) with z^2 = r^2 = -(x^2 + y^2), in ascending z
         if r > 0:
-            pts.extend((ConicPoint(p, x, y, r), ConicPoint(p, x, y, p - r)))
+            pts.extend((ConicPoint._wrap(p, x, y, r), ConicPoint._wrap(p, x, y, p - r)))
         elif r == 0:
-            pts.append(ConicPoint(p, x, y, 0))
+            pts.append(ConicPoint._wrap(p, x, y, 0))
 
     # canonical representatives of P^2(F_p), in sorted order: (0,0,1),
     # (0,1,z), (1,y,z); (0,0,1) has x^2+y^2+z^2 = 1, never on the conic

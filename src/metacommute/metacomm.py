@@ -116,9 +116,9 @@ def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     multiple of Q^-1 * t * Q: the same projective point.
     """
     p = P.p
-    _require_odd_prime(p)
-    _check_coprime(p, Q)
+    # trace_zero_rep holds the odd-prime guard, so it runs first
     t = trace_zero_rep(P)
+    _check_coprime(p, Q)
     x, y, z = _conjugate(p, Q.coeffs, t.x, t.y, t.z)
     if not (x or y or z):
         raise InternalInvariantViolation("conjugation by Q sent the conic point to 0")

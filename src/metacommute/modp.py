@@ -126,7 +126,12 @@ def sqrt_table(p: int) -> tuple[int, ...]:
 def inv_table(p: int) -> tuple[int, ...]:
     """For each residue x mod p, its inverse mod p (entry 0 is an unused 0)."""
     _require_odd_prime(p)
-    return (0,) + tuple(pow(x, -1, p) for x in range(1, p))
+    inv = [0, 1] + [0] * (p - 2)
+    # p = (p // x) x + p % x gives x^-1 = -(p // x) (p % x)^-1, and
+    # 0 < p % x < x, so each entry needs only an earlier one
+    for x in range(2, p):
+        inv[x] = (p - p // x) * inv[p % x] % p
+    return tuple(inv)
 
 
 @lru_cache(maxsize=None)

@@ -52,10 +52,10 @@ class HurwitzInt:
                 f"doubled coordinates {(A, B, C, D)} must all be congruent mod 2 "
                 "(all-integer or all-half-integer components)"
             )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        _set_A(self, A)
+        _set_B(self, B)
+        _set_C(self, C)
+        _set_D(self, D)
 
     def __setattr__(self, name, value):
         raise AttributeError("HurwitzInt is immutable")
@@ -63,11 +63,11 @@ class HurwitzInt:
     @classmethod
     def _wrap(cls, t: tuple[int, int, int, int]) -> "HurwitzInt":
         # internal fast path for kernel outputs, which are parity-safe
-        h = object.__new__(cls)
-        object.__setattr__(h, "A", t[0])
-        object.__setattr__(h, "B", t[1])
-        object.__setattr__(h, "C", t[2])
-        object.__setattr__(h, "D", t[3])
+        h = _new(cls)
+        _set_A(h, t[0])
+        _set_B(h, t[1])
+        _set_C(h, t[2])
+        _set_D(h, t[3])
         return h
 
     @classmethod
@@ -151,6 +151,12 @@ class HurwitzInt:
             parts.append(f"{sign}{body}")
         text = "".join(parts)
         return f"({text})/2" if half else text
+
+
+# the slot descriptors' setters, which bypass the immutable __setattr__ and
+# cost half of object.__setattr__ by name
+_new = object.__new__
+_set_A, _set_B, _set_C, _set_D = (HurwitzInt.__dict__[s].__set__ for s in HurwitzInt.__slots__)
 
 
 def _coerce(value):
@@ -296,10 +302,23 @@ class PrimeClass:
     def dividing(cls, h: HurwitzInt, p: int) -> "PrimeClass":
         """The class of gcrd(h, p), which must have norm p: the prime of norm
         p that right-divides h."""
-        return cls(rep=HurwitzInt._wrap(_norm_p_factor(h.coeffs, p)), p=p)
+        return cls._wrap(_norm_p_factor(h.coeffs, p), p)
+
+    @classmethod
+    def _wrap(cls, t: tuple[int, int, int, int], p: int) -> "PrimeClass":
+        # internal fast path for a canonical rep t of norm p, both checked by
+        # the caller
+        c = _new(cls)
+        _set_rep(c, HurwitzInt._wrap(t))
+        _set_p(c, p)
+        return c
 
     def __repr__(self) -> str:
         return f"PrimeClass({self.rep!r}, p={self.p})"
+
+
+# the frozen dataclass's slot setters, as for HurwitzInt
+_set_rep, _set_p = (PrimeClass.__dict__[s].__set__ for s in PrimeClass.__slots__)
 
 
 def _norm_solutions(n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -349,15 +368,12 @@ def _cone_candidates(p: int) -> Iterator[tuple[int, int, int, int]]:
     for A in range(-isqrt(target), -isqrt(2 * p)):
         ra = target - A * A
         lb = min(isqrt(ra), -A)
-        for B in range(-lb, lb + 1):
-            if (A ^ B) & 1:
-                continue
+        # B and C step by 2 from the first value with A's parity
+        for B in range(-lb + ((A ^ lb) & 1), lb + 1, 2):
             rb = ra - B * B
             slack_b = -A - abs(B)
             lc = min(isqrt(rb), slack_b)
-            for C in range(-lc, lc + 1):
-                if (A ^ C) & 1:
-                    continue
+            for C in range(-lc + ((A ^ lc) & 1), lc + 1, 2):
                 rc = rb - C * C
                 D = isqrt(rc)
                 if D * D != rc or (A ^ D) & 1 or D > slack_b - abs(C):
@@ -381,7 +397,7 @@ def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     # and only the boundary needs canonical_min. The cone is walked in
     # lexicographic order, so the classes come out sorted
     return tuple(
-        PrimeClass(rep=HurwitzInt._wrap(t), p=p)
+        PrimeClass._wrap(t, p)
         for t in _cone_candidates(p)
         if -t[0] > abs(t[1]) + abs(t[2]) + abs(t[3]) or _kernels.canonical_min(t) == t
     )

@@ -2,6 +2,7 @@
 right standard projective action."""
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -80,6 +81,24 @@ def _quadratic_scan_conic(p):
 def test_conic_points_match_the_quadratic_scan_below_1000():
     for p in odd_primes_up_to(999):
         assert conic_points(p) == _quadratic_scan_conic(p), p
+
+
+def test_fast_built_conic_points_match_the_public_constructor():
+    for p in (3, 13, 499):
+        pts = conic_points(p)
+        public = tuple(ConicPoint(p, c.x, c.y, c.z) for c in pts)
+        assert pts == public
+        assert list(pts) == sorted(public)
+        for fast, slow in zip(pts, public):
+            assert type(fast) is ConicPoint
+            assert hash(fast) == hash(slow) and repr(fast) == repr(slow)
+            assert str(fast) == str(slow)
+            assert fast == ConicPoint.normalized(p, fast.x, fast.y, fast.z)
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+    c = conic_points(13)[0]
+    with pytest.raises(FrozenInstanceError):
+        c.x = 2
+    assert c == conic_points(13)[0]
 
 
 def test_conic_rejects_p_two():

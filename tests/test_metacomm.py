@@ -12,6 +12,7 @@ from metacommute.errors import (
     InternalInvariantViolation,
     ScaleLimit,
     SingularMatrix,
+    UnsupportedPrime,
 )
 from metacommute.geometry import (
     ConicPoint,
@@ -123,6 +124,18 @@ def test_query_coprimality():
         meta_divide(PrimeClass.of(make(2, 2, 2, 0)), HurwitzInt.scalar(3))
     with pytest.raises(CoprimalityError):
         meta_conj(PrimeClass.of(make(2, 2, 2, 0)), HurwitzInt.scalar(6))
+
+
+def test_meta_conj_rejects_a_bad_modulus_before_coprimality():
+    # N(Q) shares a factor with p in both cases, but the odd-prime guard in
+    # trace_zero_rep runs before the coprimality check
+    two = PrimeClass.of(ONE_PLUS_I)
+    assert two.p == 2
+    with pytest.raises(UnsupportedPrime):
+        meta_conj(two, ONE_PLUS_I)
+    nine = PrimeClass(rep=HurwitzInt.scalar(3), p=9)
+    with pytest.raises(UnsupportedPrime):
+        meta_conj(nine, make(2, 2, 2, 0))  # norm 3
 
 
 # ------------------------------------------------------------- the two routes

@@ -11,6 +11,7 @@ from metacommute.modp import (
     FpMat2,
     QuotQuat,
     TwoSquareRep,
+    inv_table,
     legendre,
     phi,
     phi_inv,
@@ -112,6 +113,14 @@ def test_sqrt_table_holds_least_roots_and_marks_non_residues():
             assert (r == -1) == (legendre(t, p) == -1), (p, t)
             if r >= 0:
                 assert r * r % p == t
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 499, 4999])
+def test_inv_table_matches_pow(p):
+    table = inv_table(p)
+    assert len(table) == p and table[0] == 0
+    for x in range(1, p):
+        assert table[x] == pow(x, -1, p), (p, x)
 
 
 def test_sqrt_table_rejects_p_two():

@@ -2,6 +2,7 @@
 canonicalization and prime-class enumeration."""
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from math import isqrt
 
 import pytest
@@ -40,6 +41,7 @@ from metacommute.quatcore import (
     right_divmod,
     units,
 )
+from metacommute.verify import odd_primes_up_to
 
 
 def rand_quat(rng, span=4):
@@ -440,6 +442,36 @@ def test_the_cone_holds_ties_that_canonical_min_resolves():
     assert {P.rep.coeffs for P in primes_of_norm(p)} <= set(cone)
 
 
+def _unstepped_cone_candidates(p):
+    """Reference: the cone walk that visits every B and C and skips those
+    whose parity differs from A's."""
+    target = 4 * p
+    for A in range(-isqrt(target), -isqrt(2 * p)):
+        ra = target - A * A
+        lb = min(isqrt(ra), -A)
+        for B in range(-lb, lb + 1):
+            if (A ^ B) & 1:
+                continue
+            rb = ra - B * B
+            slack_b = -A - abs(B)
+            lc = min(isqrt(rb), slack_b)
+            for C in range(-lc, lc + 1):
+                if (A ^ C) & 1:
+                    continue
+                rc = rb - C * C
+                D = isqrt(rc)
+                if D * D != rc or (A ^ D) & 1 or D > slack_b - abs(C):
+                    continue
+                if D > 0:
+                    yield (A, B, C, -D)
+                yield (A, B, C, D)
+
+
+def test_the_parity_stepped_cone_walk_matches_the_unstepped_walk():
+    for p in odd_primes_up_to(1000) + [4993, 4999]:
+        assert list(_cone_candidates(p)) == list(_unstepped_cone_candidates(p)), p
+
+
 def test_every_interior_cone_candidate_is_canonical():
     # primes_of_norm skips canonical_min strictly inside the cone, where A is
     # the strict least of the 24 first coordinates
@@ -473,6 +505,41 @@ def test_prime_class_dividing_rejects_a_gcrd_without_norm_p(h):
     # gcrd(7, 7) = 7 has norm 49; gcrd(1, 7) and gcrd(1+i, 7) are units
     with pytest.raises(InternalInvariantViolation):
         PrimeClass.dividing(h, 7)
+
+
+def test_fast_builders_match_the_public_constructors():
+    for p in (3, 13, 499):
+        classes = primes_of_norm(p)
+        public = tuple(PrimeClass(rep=HurwitzInt(*P.rep.coeffs), p=p) for P in classes)
+        assert classes == public
+        for fast, slow in zip(classes, public):
+            assert type(fast) is PrimeClass and type(fast.rep) is HurwitzInt
+            assert hash(fast) == hash(slow) and hash(fast.rep) == hash(slow.rep)
+            assert repr(fast) == repr(slow) and repr(fast.rep) == repr(slow.rep)
+        # the classes come out sorted by canonical rep, as before
+        assert [P.rep.coeffs for P in classes] == sorted(P.rep.coeffs for P in public)
+    for t in ((1, 1, 1, 1), (-3, 1, -1, 1), (0, 4, -2, 6)):
+        fast, slow = HurwitzInt._wrap(t), HurwitzInt(*t)
+        assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+        assert str(fast) == str(slow)
+    P = primes_of_norm(5)[0]
+    D = PrimeClass.dividing(P.rep * make(2, 2, 0, 0), 5)
+    assert D == PrimeClass(rep=HurwitzInt(*D.rep.coeffs), p=5)
+    assert hash(D) == hash(PrimeClass(rep=HurwitzInt(*D.rep.coeffs), p=5))
+
+
+def test_fast_built_values_stay_immutable():
+    P = primes_of_norm(13)[0]
+    h = HurwitzInt._wrap((1, 1, 1, 1))
+    with pytest.raises(AttributeError):
+        h.A = 3
+    with pytest.raises(AttributeError):
+        P.rep.B = 0
+    with pytest.raises(FrozenInstanceError):
+        P.p = 17
+    with pytest.raises(FrozenInstanceError):
+        P.rep = h
+    assert h == HurwitzInt(1, 1, 1, 1) and P == primes_of_norm(13)[0]
 
 
 def test_primes_of_norm_rejects_two_and_composites():
