@@ -41,7 +41,7 @@ class ConicPoint:
     def _wrap(cls, p: int, x: int, y: int, z: int) -> "ConicPoint":
         # internal fast path for a normalized point on the conic, both
         # checked by the caller
-        pt = _new(cls)
+        pt = object.__new__(cls)
         _set_p(pt, p)
         _set_x(pt, x)
         _set_y(pt, y)
@@ -53,7 +53,6 @@ class ConicPoint:
 
 
 # the frozen dataclass's slot setters, which bypass its __setattr__
-_new = object.__new__
 _set_p, _set_x, _set_y, _set_z = (
     ConicPoint.__dict__[s].__set__ for s in ConicPoint.__slots__
 )

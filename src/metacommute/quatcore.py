@@ -28,7 +28,7 @@ from metacommute.errors import (
 )
 
 # primes_of_norm walks the norm-p solutions in a cone, O(p^1.5) loop steps,
-# and runs canonical_min only on those on its boundary: about 0.05 s cold at
+# and runs canonical_min only on those on its boundary: about 0.04 s cold at
 # p = 4999 (Python 3.11, one core)
 _PRIMES_MAX_P = 5000
 
@@ -156,7 +156,9 @@ class HurwitzInt:
 # the slot descriptors' setters, which bypass the immutable __setattr__ and
 # cost half of object.__setattr__ by name
 _new = object.__new__
-_set_A, _set_B, _set_C, _set_D = (HurwitzInt.__dict__[s].__set__ for s in HurwitzInt.__slots__)
+_set_A, _set_B, _set_C, _set_D = (
+    HurwitzInt.__dict__[s].__set__ for s in HurwitzInt.__slots__
+)
 
 
 def _coerce(value):
