@@ -13,10 +13,15 @@ from metacommute.errors import (
     SingularMatrix,
 )
 from metacommute.modp import FpMat2, TwoSquareRep, _phi_entries, sqrt_table
-from metacommute.quatcore import HurwitzInt, PrimeClass, _require_odd_prime
+from metacommute.quatcore import (
+    HurwitzInt,
+    PrimeClass,
+    _require_odd_prime,
+    _slot_setters,
+)
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, slots=True, order=True, init=False)
 class ConicPoint:
     """A point (x : y : z) on the conic, first nonzero coordinate scaled to 1."""
 
@@ -24,6 +29,13 @@ class ConicPoint:
     x: int
     y: int
     z: int
+
+    def __init__(self, p: int, x: int, y: int, z: int):
+        # the slot setters, as for PrimeClass
+        _set_pt_p(self, p)
+        _set_pt_x(self, x)
+        _set_pt_y(self, y)
+        _set_pt_z(self, z)
 
     @classmethod
     def normalized(cls, p: int, x: int, y: int, z: int) -> "ConicPoint":
@@ -37,25 +49,11 @@ class ConicPoint:
             raise ValueError(f"({x}:{y}:{z}) is not on the conic mod {p}")
         return pt
 
-    @classmethod
-    def _wrap(cls, p: int, x: int, y: int, z: int) -> "ConicPoint":
-        # internal fast path for a normalized point on the conic, both
-        # checked by the caller
-        pt = object.__new__(cls)
-        _set_p(pt, p)
-        _set_x(pt, x)
-        _set_y(pt, y)
-        _set_z(pt, z)
-        return pt
-
     def __str__(self) -> str:
         return f"{self.x}:{self.y}:{self.z}"
 
 
-# the frozen dataclass's slot setters, which bypass its __setattr__
-_set_p, _set_x, _set_y, _set_z = (
-    ConicPoint.__dict__[s].__set__ for s in ConicPoint.__slots__
-)
+_set_pt_p, _set_pt_x, _set_pt_y, _set_pt_z = _slot_setters(ConicPoint)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -88,9 +86,9 @@ def conic_points(p: int) -> tuple[ConicPoint, ...]:
     def add(x: int, y: int, r: int) -> None:
         # the points (x:y:z) with z^2 = r^2 = -(x^2 + y^2), in ascending z
         if r > 0:
-            pts.extend((ConicPoint._wrap(p, x, y, r), ConicPoint._wrap(p, x, y, p - r)))
+            pts.extend((ConicPoint(p, x, y, r), ConicPoint(p, x, y, p - r)))
         elif r == 0:
-            pts.append(ConicPoint._wrap(p, x, y, 0))
+            pts.append(ConicPoint(p, x, y, 0))
 
     # canonical representatives of P^2(F_p), in sorted order: (0,0,1),
     # (0,1,z), (1,y,z); (0,0,1) has x^2+y^2+z^2 = 1, never on the conic

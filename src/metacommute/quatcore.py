@@ -63,7 +63,7 @@ class HurwitzInt:
     @classmethod
     def _wrap(cls, t: tuple[int, int, int, int]) -> "HurwitzInt":
         # internal fast path for kernel outputs, which are parity-safe
-        h = _new(cls)
+        h = object.__new__(cls)
         _set_A(h, t[0])
         _set_B(h, t[1])
         _set_C(h, t[2])
@@ -153,12 +153,14 @@ class HurwitzInt:
         return f"({text})/2" if half else text
 
 
-# the slot descriptors' setters, which bypass the immutable __setattr__ and
-# cost half of object.__setattr__ by name
-_new = object.__new__
-_set_A, _set_B, _set_C, _set_D = (
-    HurwitzInt.__dict__[s].__set__ for s in HurwitzInt.__slots__
-)
+def _slot_setters(cls) -> tuple:
+    """The __set__ of each of cls's slot descriptors, in slot order. They
+    bypass an immutable __setattr__, a frozen dataclass's too, at half the
+    cost of object.__setattr__ by name."""
+    return tuple(cls.__dict__[s].__set__ for s in cls.__slots__)
+
+
+_set_A, _set_B, _set_C, _set_D = _slot_setters(HurwitzInt)
 
 
 def _coerce(value):
@@ -286,12 +288,18 @@ def is_prime(h: HurwitzInt) -> bool:
     return _is_rational_prime(h.norm())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PrimeClass:
     """A left-associate class of Hurwitz primes, named by its canonical rep."""
 
     rep: HurwitzInt
     p: int
+
+    def __init__(self, rep: HurwitzInt, p: int):
+        # the dataclass __init__ would set the frozen fields through
+        # object.__setattr__; the slot setters do the same for less
+        _set_class_rep(self, rep)
+        _set_class_p(self, p)
 
     @classmethod
     def of(cls, h: HurwitzInt) -> "PrimeClass":
@@ -304,23 +312,13 @@ class PrimeClass:
     def dividing(cls, h: HurwitzInt, p: int) -> "PrimeClass":
         """The class of gcrd(h, p), which must have norm p: the prime of norm
         p that right-divides h."""
-        return cls._wrap(_norm_p_factor(h.coeffs, p), p)
-
-    @classmethod
-    def _wrap(cls, t: tuple[int, int, int, int], p: int) -> "PrimeClass":
-        # internal fast path for a canonical rep t of norm p, both checked by
-        # the caller
-        c = _new(cls)
-        _set_rep(c, HurwitzInt._wrap(t))
-        _set_p(c, p)
-        return c
+        return cls(rep=HurwitzInt._wrap(_norm_p_factor(h.coeffs, p)), p=p)
 
     def __repr__(self) -> str:
         return f"PrimeClass({self.rep!r}, p={self.p})"
 
 
-# the frozen dataclass's slot setters, as for HurwitzInt
-_set_rep, _set_p = (PrimeClass.__dict__[s].__set__ for s in PrimeClass.__slots__)
+_set_class_rep, _set_class_p = _slot_setters(PrimeClass)
 
 
 def _norm_solutions(n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -399,7 +397,7 @@ def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     # and only the boundary needs canonical_min. The cone is walked in
     # lexicographic order, so the classes come out sorted
     return tuple(
-        PrimeClass._wrap(t, p)
+        PrimeClass(rep=HurwitzInt._wrap(t), p=p)
         for t in _cone_candidates(p)
         if -t[0] > abs(t[1]) + abs(t[2]) + abs(t[3]) or _kernels.canonical_min(t) == t
     )

@@ -1,8 +1,8 @@
 """Conic points, the prime-class bijection, the P^1 identification and the
 right standard projective action."""
+import dataclasses
 import itertools
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -83,21 +83,25 @@ def test_conic_points_match_the_quadratic_scan_below_1000():
         assert conic_points(p) == _quadratic_scan_conic(p), p
 
 
-def test_fast_built_conic_points_match_the_public_constructor():
+def test_slot_set_conic_points_keep_the_dataclass_contract():
+    # ConicPoint sets its slots through the descriptors' setters; the points
+    # must behave as the plain dataclass constructor's did
     for p in (3, 13, 499):
         pts = conic_points(p)
-        public = tuple(ConicPoint(p, c.x, c.y, c.z) for c in pts)
-        assert pts == public
-        assert list(pts) == sorted(public)
-        for fast, slow in zip(pts, public):
-            assert type(fast) is ConicPoint
-            assert hash(fast) == hash(slow) and repr(fast) == repr(slow)
-            assert str(fast) == str(slow)
-            assert fast == ConicPoint.normalized(p, fast.x, fast.y, fast.z)
+        for c in pts:
+            assert c == ConicPoint(p=c.p, x=c.x, y=c.y, z=c.z) == dataclasses.replace(c)
+            assert c == ConicPoint.normalized(p, c.x, c.y, c.z)
+            assert hash(c) == hash((p, c.x, c.y, c.z))
+            assert dataclasses.astuple(c) == (p, c.x, c.y, c.z)
+            assert repr(c) == f"ConicPoint(p={p}, x={c.x}, y={c.y}, z={c.z})"
+        # order compares the field tuples, and the build is sorted
+        assert list(pts) == sorted(pts, key=dataclasses.astuple)
         assert all(a < b for a, b in zip(pts, pts[1:]))
     c = conic_points(13)[0]
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         c.x = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del c.z
     assert c == conic_points(13)[0]
 
 

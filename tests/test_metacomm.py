@@ -138,6 +138,19 @@ def test_meta_conj_rejects_a_bad_modulus_before_coprimality():
         meta_conj(nine, make(2, 2, 2, 0))  # norm 3
 
 
+def test_meta_conj_checks_the_class_before_the_query():
+    # a class whose rep does not have norm p fails trace_zero_rep's conic
+    # check whatever Q is; a well-formed class still meets the coprimality
+    # check on a Q whose norm p divides
+    bad = PrimeClass(rep=HurwitzInt.scalar(2), p=13)
+    for Q in (make(6, 4, 0, 0), HurwitzInt.scalar(13), ONE_PLUS_I):  # norms 13, 169, 2
+        with pytest.raises(InternalInvariantViolation):
+            meta_conj(bad, Q)
+    good = primes_of_norm(13)[0]
+    with pytest.raises(CoprimalityError):
+        meta_conj(good, make(6, 4, 0, 0))
+
+
 # ------------------------------------------------------------- the two routes
 
 def test_divide_and_conj_agree_p3():

@@ -1,8 +1,8 @@
 """Hurwitz integer arithmetic: construction, products, division, gcrd,
 canonicalization and prime-class enumeration."""
+import dataclasses
 import itertools
 import random
-from dataclasses import FrozenInstanceError
 from math import isqrt
 
 import pytest
@@ -507,38 +507,43 @@ def test_prime_class_dividing_rejects_a_gcrd_without_norm_p(h):
         PrimeClass.dividing(h, 7)
 
 
-def test_fast_builders_match_the_public_constructors():
-    for p in (3, 13, 499):
-        classes = primes_of_norm(p)
-        public = tuple(PrimeClass(rep=HurwitzInt(*P.rep.coeffs), p=p) for P in classes)
-        assert classes == public
-        for fast, slow in zip(classes, public):
-            assert type(fast) is PrimeClass and type(fast.rep) is HurwitzInt
-            assert hash(fast) == hash(slow) and hash(fast.rep) == hash(slow.rep)
-            assert repr(fast) == repr(slow) and repr(fast.rep) == repr(slow.rep)
-        # the classes come out sorted by canonical rep, as before
-        assert [P.rep.coeffs for P in classes] == sorted(P.rep.coeffs for P in public)
+def test_slot_set_constructors_keep_the_dataclass_contract():
+    # HurwitzInt and PrimeClass set their slots through the descriptors'
+    # setters; the values must behave as the plain constructors' did
     for t in ((1, 1, 1, 1), (-3, 1, -1, 1), (0, 4, -2, 6)):
         fast, slow = HurwitzInt._wrap(t), HurwitzInt(*t)
         assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
-        assert str(fast) == str(slow)
+        assert str(fast) == str(slow) and fast.coeffs == t
+    for p in (3, 13, 499):
+        classes = primes_of_norm(p)
+        for P in classes:
+            positional = PrimeClass(HurwitzInt(*P.rep.coeffs), p)
+            assert positional == P == dataclasses.replace(P)
+            assert hash(P) == hash((P.rep, p)) == hash(positional)
+            assert tuple(getattr(P, f.name) for f in dataclasses.fields(P)) == (P.rep, p)
+            assert repr(P) == f"PrimeClass({P.rep!r}, p={p})"
+        # the classes come out sorted by canonical rep, as before
+        reps = [P.rep.coeffs for P in classes]
+        assert reps == sorted(reps) and len(set(reps)) == p + 1
     P = primes_of_norm(5)[0]
     D = PrimeClass.dividing(P.rep * make(2, 2, 0, 0), 5)
     assert D == PrimeClass(rep=HurwitzInt(*D.rep.coeffs), p=5)
-    assert hash(D) == hash(PrimeClass(rep=HurwitzInt(*D.rep.coeffs), p=5))
+    assert [f.name for f in dataclasses.fields(PrimeClass)] == ["rep", "p"]
 
 
-def test_fast_built_values_stay_immutable():
+def test_slot_set_values_stay_immutable():
     P = primes_of_norm(13)[0]
     h = HurwitzInt._wrap((1, 1, 1, 1))
     with pytest.raises(AttributeError):
         h.A = 3
     with pytest.raises(AttributeError):
         P.rep.B = 0
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         P.p = 17
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         P.rep = h
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del P.p
     assert h == HurwitzInt(1, 1, 1, 1) and P == primes_of_norm(13)[0]
 
 
