@@ -28,8 +28,8 @@ from metacommute.errors import (
 )
 
 # primes_of_norm walks the norm-p solutions in a cone, O(p^1.5) loop steps,
-# and runs canonical_min only on those on its boundary: about 0.04 s cold at
-# p = 4999 (Python 3.11, one core)
+# and runs canonical_min only on those on its boundary: about 0.035 s cold
+# at p = 4999 (Python 3.11, one core)
 _PRIMES_MAX_P = 5000
 
 # the largest p of any per-p build outside primes_of_norm: near it, one cold
