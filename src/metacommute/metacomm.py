@@ -68,7 +68,7 @@ class MetaQuery:
         q = _check_coprime(p, Q)
         # Q mod p is central iff its doubled i, j, k coordinates vanish mod p
         # (2 is a unit mod p)
-        central = Q.B % p == 0 and Q.C % p == 0 and Q.D % p == 0
+        central = not any(v % p for v in Q.coeffs[1:])
         return cls(p=p, Q=Q, q=q, central=central)
 
 

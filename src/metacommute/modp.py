@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from metacommute.errors import ModulusMismatch, SingularMatrix
-from metacommute.quatcore import HurwitzInt, _require_odd_prime
+from metacommute.errors import ModulusMismatch, ScaleLimit, SingularMatrix
+from metacommute.quatcore import _P_MAX, HurwitzInt, _require_odd_prime
 
 
 def legendre(n: int, p: int) -> int:
@@ -97,7 +97,7 @@ def reduce_mod(h: HurwitzInt, p: int) -> QuotQuat:
     """
     _require_odd_prime(p)
     inv2 = pow(2, -1, p)
-    return QuotQuat(p, h.A * inv2, h.B * inv2, h.C * inv2, h.D * inv2)
+    return QuotQuat(p, *(v * inv2 for v in h.coeffs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,11 +109,18 @@ class TwoSquareRep:
     b: int
 
 
+def _require_table_p(p: int) -> None:
+    """The guard of the O(p) tables under every per-p build, before they allocate."""
+    if p > _P_MAX:
+        raise ScaleLimit(f"tables mod p are built only for p <= {_P_MAX}")
+    _require_odd_prime(p)
+
+
 @lru_cache(maxsize=None)
 def sqrt_table(p: int) -> tuple[int, ...]:
     """For each residue t mod p, its least square root r >= 0, or -1 when t
     is not a square mod p."""
-    _require_odd_prime(p)
+    _require_table_p(p)
     roots = [-1] * p
     # r and p - r share a square, so the least roots are 0 .. (p-1)/2, and
     # their squares are distinct
@@ -125,7 +132,7 @@ def sqrt_table(p: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def inv_table(p: int) -> tuple[int, ...]:
     """For each residue x mod p, its inverse mod p (entry 0 is an unused 0)."""
-    _require_odd_prime(p)
+    _require_table_p(p)
     inv = [0, 1] + [0] * (p - 2)
     # p = (p // x) x + p % x gives x^-1 = -(p // x) (p % x)^-1, and
     # 0 < p % x < x, so each entry needs only an earlier one

@@ -3,7 +3,8 @@
 A Hurwitz integer is stored in doubled coordinates: ``HurwitzInt(A, B, C, D)``
 is the quaternion (A + Bi + Cj + Dk)/2, with A, B, C, D all congruent mod 2
 (all even = integer components, all odd = half-integer components). This keeps
-every operation in exact integer arithmetic.
+every operation in exact integer arithmetic. A ``HurwitzInt`` holds only the
+tuple ``coeffs = (A, B, C, D)``, the format every kernel takes and returns.
 
 Primes of a given norm p are classified up to left multiplication by the 24
 units; ``PrimeClass`` names one class by its canonical (lexicographically
@@ -32,72 +33,68 @@ from metacommute.errors import (
 # at p = 4999 (Python 3.11, one core)
 _PRIMES_MAX_P = 5000
 
-# the largest p of any per-p build outside primes_of_norm: near it, one cold
-# conic_points, meta_permutation or projective-group count takes under 2 s
-# (Python 3.11, one core), and the trial-division prime guard is instant
+# the largest p of any per-p build outside primes_of_norm, held by the O(p)
+# tables modp.sqrt_table and inv_table: near it, a cold conic_points,
+# meta_permutation or group count takes under 2 s (Python 3.11, one core)
 _P_MAX = 100_000
 
 
 class HurwitzInt:
-    """An element of the Hurwitz order, in doubled coordinates."""
+    """An element of the Hurwitz order, held as the doubled-coordinate tuple
+    coeffs = (A, B, C, D) that every kernel takes and returns."""
 
-    __slots__ = ("A", "B", "C", "D")
+    __slots__ = ("coeffs",)
 
     def __init__(self, A: int, B: int, C: int, D: int):
-        for v in (A, B, C, D):
+        t = (A, B, C, D)
+        for v in t:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParityError(f"doubled coordinates must be integers, got {v!r}")
         if ((A ^ B) | (A ^ C) | (A ^ D)) & 1:
             raise ParityError(
-                f"doubled coordinates {(A, B, C, D)} must all be congruent mod 2 "
+                f"doubled coordinates {t} must all be congruent mod 2 "
                 "(all-integer or all-half-integer components)"
             )
-        _set_A(self, A)
-        _set_B(self, B)
-        _set_C(self, C)
-        _set_D(self, D)
+        _set_coeffs(self, t)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("HurwitzInt is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as __setattr__ bars slot state
+        return (HurwitzInt, self.coeffs)
 
     @classmethod
     def _wrap(cls, t: tuple[int, int, int, int]) -> "HurwitzInt":
         # internal fast path for kernel outputs, which are parity-safe
         h = object.__new__(cls)
-        _set_A(h, t[0])
-        _set_B(h, t[1])
-        _set_C(h, t[2])
-        _set_D(h, t[3])
+        _set_coeffs(h, t)
         return h
 
     @classmethod
     def scalar(cls, n: int) -> "HurwitzInt":
         return cls(2 * n, 0, 0, 0)
 
-    @property
-    def coeffs(self) -> tuple[int, int, int, int]:
-        """The doubled coordinates (A, B, C, D)."""
-        return (self.A, self.B, self.C, self.D)
-
     def conjugate(self) -> "HurwitzInt":
-        return HurwitzInt._wrap((self.A, -self.B, -self.C, -self.D))
+        A, B, C, D = self.coeffs
+        return HurwitzInt._wrap((A, -B, -C, -D))
 
     def norm(self) -> int:
         return _kernels.norm(self.coeffs)
 
     def trace(self) -> int:
-        return self.A
+        return self.coeffs[0]
 
     def __bool__(self) -> bool:
-        return (self.A | self.B | self.C | self.D) != 0
+        return any(self.coeffs)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return HurwitzInt._wrap(
-            (self.A + other.A, self.B + other.B, self.C + other.C, self.D + other.D)
-        )
+        return HurwitzInt._wrap(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -105,15 +102,13 @@ class HurwitzInt:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return HurwitzInt._wrap(
-            (self.A - other.A, self.B - other.B, self.C - other.C, self.D - other.D)
-        )
+        return HurwitzInt._wrap(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self) -> "HurwitzInt":
-        return HurwitzInt._wrap((-self.A, -self.B, -self.C, -self.D))
+        return HurwitzInt._wrap(tuple(-x for x in self.coeffs))
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -134,12 +129,12 @@ class HurwitzInt:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"HurwitzInt({self.A}, {self.B}, {self.C}, {self.D})"
+        return f"HurwitzInt{self.coeffs}"
 
     def __str__(self) -> str:
         if not self:
             return "0"
-        half = self.A & 1  # all four coordinates share this parity
+        half = self.coeffs[0] & 1  # all four coordinates share this parity
         parts = []
         for v, sym in zip(self.coeffs, ("", "i", "j", "k")):
             v = v if half else v // 2
@@ -160,7 +155,7 @@ def _slot_setters(cls) -> tuple:
     return tuple(cls.__dict__[s].__set__ for s in cls.__slots__)
 
 
-_set_A, _set_B, _set_C, _set_D = _slot_setters(HurwitzInt)
+(_set_coeffs,) = _slot_setters(HurwitzInt)
 
 
 def _coerce(value):
@@ -329,14 +324,11 @@ def _norm_solutions(n: int) -> Iterator[tuple[int, int, int, int]]:
     for A in range(-lim, lim + 1):
         ra = target - A * A
         lb = isqrt(ra)
-        for B in range(-lb, lb + 1):
-            if (A ^ B) & 1:
-                continue
+        # B and C step by 2 from the first value with A's parity
+        for B in range(-lb + ((A ^ lb) & 1), lb + 1, 2):
             rb = ra - B * B
             lc = isqrt(rb)
-            for C in range(-lc, lc + 1):
-                if (A ^ C) & 1:
-                    continue
+            for C in range(-lc + ((A ^ lc) & 1), lc + 1, 2):
                 rc = rb - C * C
                 D = isqrt(rc)
                 if D * D != rc or (A ^ D) & 1:

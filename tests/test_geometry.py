@@ -181,8 +181,8 @@ def test_conjugate_is_the_doubled_conjugation_of_the_value_types():
             x, y, z = (rng.randrange(p) for _ in range(3))
             H = HurwitzInt(*h)
             D = H.conjugate() * HurwitzInt(0, 2 * x, 2 * y, 2 * z) * H
-            assert D.A == 0
-            assert _conjugate(p, h, x, y, z) == (2 * D.B % p, 2 * D.C % p, 2 * D.D % p)
+            assert D.coeffs[0] == 0
+            assert _conjugate(p, h, x, y, z) == tuple(2 * v % p for v in D.coeffs[1:])
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)

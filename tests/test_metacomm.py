@@ -1,6 +1,9 @@
 """The metacommutation map, its three routes, permutation analytics,
 predictions and the order-count formula."""
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from math import isqrt
 
@@ -45,6 +48,7 @@ from metacommute.modp import (
     legendre,
     phi,
     reduce_mod,
+    sqrt_table,
     two_square_rep,
 )
 from metacommute.quatcore import (
@@ -101,7 +105,8 @@ def _seeded_queries(p, rng, count=60):
 def test_central_flag_matches_the_reduction_at_large_p(p):
     queries = _seeded_queries(p, random.Random(p))
     # the sample holds a central Q with a negative multiple of p among its coordinates
-    assert any(Q.B < 0 and Q.B % p == Q.C % p == Q.D % p == 0 for Q in queries)
+    coords = [Q.coeffs for Q in queries]
+    assert any(B < 0 and B % p == C % p == D % p == 0 for _, B, C, D in coords)
     centrals = 0
     for Q in queries:
         central = MetaQuery.create(p, Q).central
@@ -312,6 +317,35 @@ def test_routes_agree_above_the_old_cap(p):
         want = conic_to_prime(ground[perm.images[i]])
         assert want.p == p
         assert meta_divide(P, Q) == meta_conj(P, Q) == want, Q
+
+
+def test_tables_stop_above_the_largest_supported_p():
+    # 100,003 is the least prime above _P_MAX: every route that builds an
+    # O(p) table refuses it before allocating, the table-free routes run
+    p = 100_003
+    Q = make(3, 1, 1, 1)
+    for build in (sqrt_table, inv_table, conic_points, two_square_rep, proj_table):
+        with pytest.raises(ScaleLimit):
+            build(p)
+    with pytest.raises(ScaleLimit):
+        meta_permutation(MetaQuery.create(p, Q))
+    P = PrimeClass.of(HurwitzInt(*(2 * v for v in _four_squares(p))))
+    assert P.p == p and meta_divide(P, Q) == meta_conj(P, Q)
+
+
+def test_values_pickle_and_copy():
+    # __reduce__ rebuilds a HurwitzInt through __init__, so every value that
+    # holds one pickles and copies too
+    h = make(1, -3, 5, 7)
+    P = primes_of_norm(13)[2]
+    point = trace_zero_rep(P)
+    query = MetaQuery.create(13, make(2, 2, 0, 0))
+    for value in (h, P, point, query):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert clone == value and type(clone) is type(value)
+    assert pickle.loads(pickle.dumps(h)).coeffs == (1, -3, 5, 7)
+    assert dataclasses.astuple(P) == (P.rep, P.p)
 
 
 def test_right_action_composition():

@@ -77,7 +77,7 @@ def test_coordinates_must_be_ints():
 def test_immutable_and_hashable():
     h = make(2, 2, 0, 0)
     with pytest.raises(AttributeError):
-        h.A = 4
+        h.coeffs = (4, 2, 0, 0)
     assert hash(h) == hash(make(2, 2, 0, 0))
     assert h != make(2, -2, 0, 0)
 
@@ -514,6 +514,12 @@ def test_slot_set_constructors_keep_the_dataclass_contract():
         fast, slow = HurwitzInt._wrap(t), HurwitzInt(*t)
         assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
         assert str(fast) == str(slow) and fast.coeffs == t
+        # one slot, the tuple itself: _wrap keeps the kernel's tuple, and
+        # __init__ stores the tuple it checked
+        assert fast.coeffs is t and type(slow.coeffs) is tuple
+        assert HurwitzInt.__slots__ == ("coeffs",)
+        with pytest.raises(AttributeError):
+            slow.coeffs = (2, 0, 0, 0)
     for p in (3, 13, 499):
         classes = primes_of_norm(p)
         for P in classes:
@@ -535,9 +541,18 @@ def test_slot_set_values_stay_immutable():
     P = primes_of_norm(13)[0]
     h = HurwitzInt._wrap((1, 1, 1, 1))
     with pytest.raises(AttributeError):
-        h.A = 3
+        h.coeffs = (3, 1, 1, 1)
     with pytest.raises(AttributeError):
-        P.rep.B = 0
+        P.rep.coeffs = (0, 0, 0, 0)
+    with pytest.raises(AttributeError, match="immutable"):
+        del h.coeffs
+    # a deleted slot would leave a broken rep in the process-wide cache
+    cached = primes_of_norm(5)[0]
+    t = cached.rep.coeffs
+    with pytest.raises(AttributeError, match="immutable"):
+        del cached.rep.coeffs
+    assert primes_of_norm(5)[0] is cached and cached.rep.coeffs is t
+    assert hash(cached) == hash((HurwitzInt(*t), 5))
     with pytest.raises(dataclasses.FrozenInstanceError):
         P.p = 17
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -552,6 +567,18 @@ def test_primes_of_norm_rejects_two_and_composites():
         primes_of_norm(2)
     with pytest.raises(UnsupportedPrime):
         primes_of_norm(9)
+
+
+def test_elements_of_norm_matches_brute_force():
+    # every equal-parity quadruple in [-12, 12]^4, bucketed by norm: a
+    # coordinate of a norm n <= 40 element has square at most 4n < 13^2
+    want = {n: [] for n in range(41)}
+    for t in itertools.product(range(-12, 13), repeat=4):
+        s = sum(v * v for v in t)
+        if s % 4 == 0 and s <= 160 and len({v & 1 for v in t}) == 1:
+            want[s // 4].append(t)
+    for n, quads in want.items():
+        assert [h.coeffs for h in elements_of_norm(n)] == sorted(quads), n
 
 
 def test_elements_of_norm_mass():
