@@ -66,9 +66,9 @@ class MetaQuery:
     def create(cls, p: int, Q: HurwitzInt) -> "MetaQuery":
         _require_odd_prime(p)
         q = _check_coprime(p, Q)
-        # Q mod p is central iff its doubled i, j, k coordinates vanish mod p
-        # (2 is a unit mod p)
-        central = not any(v % p for v in Q.coeffs[1:])
+        # central iff the doubled i, j, k coordinates of Q vanish mod p (2 is a unit)
+        _, B, C, D = Q.coeffs
+        central = B % p == 0 and C % p == 0 and D % p == 0
         return cls(p=p, Q=Q, q=q, central=central)
 
 
