@@ -35,7 +35,7 @@ _PRIMES_MAX_P = 5000
 
 # the largest p of any per-p build outside primes_of_norm, held by the O(p)
 # tables modp.sqrt_table and inv_table: near it, a cold conic_points,
-# meta_permutation or group count takes under 2 s (Python 3.11, one core)
+# meta_permutation or projective-group count takes under 2 s (Python 3.11, one core)
 _P_MAX = 100_000
 
 
