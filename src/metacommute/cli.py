@@ -2,7 +2,8 @@
 
 Quaternions are written as doubled-coordinate 4-tuples "[A,B,C,D]", meaning
 (A + Bi + Cj + Dk)/2; the four entries must share parity. JSON output is
-byte-stable for identical inputs and --seed.
+byte-stable for identical inputs and --seed. Each cmd_* returns its exit
+code, its JSON payload and its text lines; main prints one of the two.
 
 Exit codes: 0 success / everything verified, 1 verification failures,
 2 usage errors, 141 stdout closed early (a reader such as `head` quit).
@@ -79,10 +80,6 @@ def parse_quat(text: str) -> HurwitzInt:
     return HurwitzInt(*raw)
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _cycle_notation(images: tuple[int, ...]) -> str:
     cycles = [c for c in cycle_decomposition(images) if len(c) > 1]
     if not cycles:
@@ -111,39 +108,47 @@ def _odd_prime(value: str) -> int:
     return p
 
 
-def cmd_primes(args) -> int:
+def cmd_primes(args):
     classes = primes_of_norm(args.p)
-    if args.format == "json":
-        _emit_json([{"class_rep": list(P.rep.coeffs), "p": P.p} for P in classes])
-    else:
-        print(f"p={args.p}: {len(classes)} left-associate classes of norm-{args.p} primes")
-        for P in classes:
-            print(f"  {list(P.rep.coeffs)}  ({P.rep})")
-    return 0
+    payload = [{"class_rep": list(P.rep.coeffs), "p": P.p} for P in classes]
+    lines = [f"p={args.p}: {len(classes)} left-associate classes of norm-{args.p} primes"]
+    lines += [f"  {list(P.rep.coeffs)}  ({P.rep})" for P in classes]
+    return 0, payload, lines
 
 
-def cmd_conic(args) -> int:
-    points = conic_points(args.p)
-    if args.format == "json":
-        _emit_json([str(c) for c in points])
-    else:
-        print(f"p={args.p}: {len(points)} points on x^2+y^2+z^2=0 in P^2(F_{args.p})")
-        for c in points:
-            print(f"  {c}")
-    return 0
+def cmd_conic(args):
+    payload = [str(c) for c in conic_points(args.p)]
+    lines = [f"p={args.p}: {len(payload)} points on x^2+y^2+z^2=0 in P^2(F_{args.p})"]
+    lines += [f"  {c}" for c in payload]
+    return 0, payload, lines
 
 
-def _permute_payload(args) -> dict:
+def _query(args):
+    """The query that --p and --Q name, with the fields that permute and
+    predict both print, and the head of their first text line."""
     query = MetaQuery.create(args.p, parse_quat(args.Q))
-    perm = meta_permutation(query)
-    report = analyze(perm)
-    psign, pfixed = predict(query)
-    acting = phi(reduce_mod(query.Q, query.p), two_square_rep(query.p))
-    return {
+    sign, fixed = predict(query)
+    fields = {
         "p": query.p,
         "q": query.q,
         "Q": list(query.Q.coeffs),
         "central": query.central,
+        "predicted_sign": sign,
+        "predicted_fixed": fixed,
+    }
+    head = (f"p={query.p} q={query.q} Q={fields['Q']} "
+            f"central={'yes' if query.central else 'no'}")
+    return query, fields, head
+
+
+def cmd_permute(args):
+    query, payload, head = _query(args)
+    perm = meta_permutation(query)
+    report = analyze(perm)
+    acting = phi(reduce_mod(query.Q, query.p), two_square_rep(query.p))
+    psign, pfixed = payload["predicted_sign"], payload["predicted_fixed"]
+    ok = report.sign == psign and report.fixed_count == pfixed
+    payload |= {
         "matrix": list(acting.entries),  # row-major image of Q mod p
         "ground": [str(c) for c in perm.ground],
         "images": list(perm.images),
@@ -152,51 +157,27 @@ def _permute_payload(args) -> dict:
         "fixed": report.fixed_count,
         "cycle_lengths": list(report.cycle_lengths),
         "uniform_length": report.uniform_length,
-        "predicted_sign": psign,
-        "predicted_fixed": pfixed,
-        "pass": report.sign == psign and report.fixed_count == pfixed,
+        "pass": ok,
     }
+    lines = [
+        head,
+        f"ground:  {'  '.join(payload['ground'])}",
+        f"images:  {payload['images']}",
+        f"cycles:  {payload['cycles']}",
+        f"sign={report.sign} fixed={report.fixed_count} "
+        f"cycle_lengths={payload['cycle_lengths']}  "
+        f"(predicted sign={psign} fixed={pfixed}; {'match' if ok else 'MISMATCH'})",
+    ]
+    return (0 if ok else 1), payload, lines
 
 
-def cmd_permute(args) -> int:
-    payload = _permute_payload(args)
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"p={payload['p']} q={payload['q']} Q={payload['Q']} "
-              f"central={'yes' if payload['central'] else 'no'}")
-        print(f"ground:  {'  '.join(payload['ground'])}")
-        print(f"images:  {payload['images']}")
-        print(f"cycles:  {payload['cycles']}")
-        print(f"sign={payload['sign']} fixed={payload['fixed']} "
-              f"cycle_lengths={payload['cycle_lengths']}  "
-              f"(predicted sign={payload['predicted_sign']} "
-              f"fixed={payload['predicted_fixed']}; "
-              f"{'match' if payload['pass'] else 'MISMATCH'})")
-    return 0 if payload["pass"] else 1
+def cmd_predict(args):
+    _, payload, head = _query(args)
+    line = f"{head}: sign={payload['predicted_sign']} fixed={payload['predicted_fixed']}"
+    return 0, payload, [line]
 
 
-def cmd_predict(args) -> int:
-    query = MetaQuery.create(args.p, parse_quat(args.Q))
-    sign, fixed = predict(query)
-    payload = {
-        "p": query.p,
-        "q": query.q,
-        "Q": list(query.Q.coeffs),
-        "central": query.central,
-        "predicted_sign": sign,
-        "predicted_fixed": fixed,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"p={query.p} q={query.q} Q={payload['Q']} "
-              f"central={'yes' if query.central else 'no'}: "
-              f"sign={sign} fixed={fixed}")
-    return 0
-
-
-def cmd_orders(args) -> int:
+def cmd_orders(args):
     p = args.p
     counts = {1: 1}
     for k in range(2, p + 2):
@@ -204,21 +185,17 @@ def cmd_orders(args) -> int:
         if n:
             counts[k] = n
     group_order = p * (p - 1) * (p + 1)
+    total = sum(counts.values())
     payload = {
         "p": p,
         "group_order": group_order,
         "counts": {str(k): v for k, v in counts.items()},
-        "total": sum(counts.values()),
+        "total": total,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"p={p}: element orders in the projective group "
-              f"(order {group_order})")
-        for k, v in counts.items():
-            print(f"  order {k:3d}: {v}")
-        print(f"  total: {payload['total']}")
-    return 0
+    lines = [f"p={p}: element orders in the projective group (order {group_order})"]
+    lines += [f"  order {k:3d}: {v}" for k, v in counts.items()]
+    lines.append(f"  total: {total}")
+    return 0, payload, lines
 
 
 # the parameters each verify check takes; each one is a --flag of the check,
@@ -234,12 +211,13 @@ _VERIFY_PARAMS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     # resolved by name on every run, so a wrapper installed on the module applies
     run = getattr(verify_mod, "verify_" + args.check)
     given = {name: getattr(args, name) for name in _VERIFY_PARAMS[args.check]
              if hasattr(args, name)}
     report = run(**given)
+    # elapsed is deliberately left out of the payload: JSON output is byte-stable
     payload = {
         "check": args.check,
         "scope": report.scope,
@@ -248,17 +226,12 @@ def cmd_verify(args) -> int:
         "first_failures": report.first_failures,
         "passed": report.passed,
     }
-    if args.format == "json":
-        # elapsed is deliberately left out: JSON output is byte-stable
-        _emit_json(payload)
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        print(f"verify {args.check}: {status}  "
-              f"({report.cases_run} cases, {report.cases_failed} failed, "
-              f"{report.elapsed:.2f}s)")
-        for line in report.first_failures:
-            print(f"  {line}")
-    return 0 if report.passed else 1
+    status = "PASS" if report.passed else "FAIL"
+    lines = [f"verify {args.check}: {status}  "
+             f"({report.cases_run} cases, {report.cases_failed} failed, "
+             f"{report.elapsed:.2f}s)"]
+    lines += [f"  {line}" for line in report.first_failures]
+    return (0 if report.passed else 1), payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,33 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = sub.add_parser("primes", help="list the prime classes of norm p")
-    sp.add_argument("--p", type=_odd_prime, required=True)
-    add_format(sp)
-    sp.set_defaults(func=cmd_primes)
-
-    sp = sub.add_parser("conic", help="list the conic points mod p")
-    sp.add_argument("--p", type=_odd_prime, required=True)
-    add_format(sp)
-    sp.set_defaults(func=cmd_conic)
-
-    sp = sub.add_parser("permute", help="the permutation induced by Q on norm-p classes")
-    sp.add_argument("--p", type=_odd_prime, required=True)
-    sp.add_argument("--Q", required=True, metavar="[A,B,C,D]",
-                    help="doubled-coordinate quaternion literal")
-    add_format(sp)
-    sp.set_defaults(func=cmd_permute)
-
-    sp = sub.add_parser("predict", help="predicted sign and fixed points (N(Q) coprime to p)")
-    sp.add_argument("--p", type=_odd_prime, required=True)
-    sp.add_argument("--Q", required=True, metavar="[A,B,C,D]")
-    add_format(sp)
-    sp.set_defaults(func=cmd_predict)
-
-    sp = sub.add_parser("orders", help="element-order counts in the projective group")
-    sp.add_argument("--p", type=_odd_prime, required=True)
-    add_format(sp)
-    sp.set_defaults(func=cmd_orders)
+    commands = (
+        ("primes", cmd_primes, "list the prime classes of norm p"),
+        ("conic", cmd_conic, "list the conic points mod p"),
+        ("permute", cmd_permute, "the permutation induced by Q on norm-p classes"),
+        ("predict", cmd_predict, "predicted sign and fixed points (N(Q) coprime to p)"),
+        ("orders", cmd_orders, "element-order counts in the projective group"),
+    )
+    for name, func, text in commands:
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--p", type=_odd_prime, required=True)
+        if func in (cmd_permute, cmd_predict):
+            sp.add_argument("--Q", required=True, metavar="[A,B,C,D]",
+                            help="doubled-coordinate quaternion literal")
+        add_format(sp)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("verify", help="run an exhaustive verification sweep")
     checks = sp.add_subparsers(dest="check", required=True)
@@ -321,7 +282,11 @@ _EXIT_BROKEN_PIPE = 141
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, payload, lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
         # a reader that quit early shows up here, not at interpreter exit
         sys.stdout.flush()
         return code

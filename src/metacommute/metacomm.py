@@ -32,9 +32,9 @@ from metacommute.geometry import (
 )
 from metacommute.modp import (
     TwoSquareRep,
+    _legendre,
     _phi_entries,
     inv_table,
-    legendre,
     two_square_rep,
 )
 from metacommute.quatcore import (
@@ -237,12 +237,15 @@ def predict(query: MetaQuery) -> tuple[int, int]:
     sign is the quadratic character of q mod p; the fixed-point count is
     1 + legendre(tr(Q)^2 - 4q, p), except that a central reduction fixes
     all p+1 points. Both hold because the permutation is the action of the
-    image of Q in the projective group, which needs only q coprime to p."""
-    sign = legendre(query.q, query.p)
+    image of Q in the projective group, which needs only q coprime to p.
+
+    MetaQuery.create has checked that p is an odd prime, so no symbol here
+    checks it again."""
+    sign = _legendre(query.q, query.p)
     if query.central:
         return sign, query.p + 1
     disc = query.Q.trace() ** 2 - 4 * query.q
-    return sign, 1 + legendre(disc, query.p)
+    return sign, 1 + _legendre(disc, query.p)
 
 
 def _totient(k: int) -> int:

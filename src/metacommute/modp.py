@@ -17,6 +17,11 @@ from metacommute.quatcore import _P_MAX, HurwitzInt, _require_odd_prime
 def legendre(n: int, p: int) -> int:
     """Legendre symbol (n/p) via Euler's criterion: 0, +1 or -1."""
     _require_odd_prime(p)
+    return _legendre(n, p)
+
+
+def _legendre(n: int, p: int) -> int:
+    """legendre(n, p) for a p already known to be an odd prime."""
     n %= p
     if n == 0:
         return 0

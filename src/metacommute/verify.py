@@ -1,9 +1,10 @@
 """Exhaustive verification sweeps behind the CLI ``verify`` subcommands.
 
 Every check is exact integer equality; a sweep fails only if some identity
-breaks. Each check is a stream of (ok, describe) cases that one runner,
-``_run``, times and records. Failure descriptions are collected in sorted
-(p, q, Q) order so reports are deterministic.
+breaks. Each check is a stream of cases, each None when its identity holds
+and its failure message when it does not, that one runner, ``_run``, times
+and records. Failures are collected in sorted (p, q, Q) order so reports
+are deterministic.
 """
 from __future__ import annotations
 
@@ -57,12 +58,13 @@ class VerifyReport:
     first_failures: list[str] = field(default_factory=list)
     elapsed: float = 0.0
 
-    def record(self, ok: bool, describe) -> None:
+    def record(self, failure: str | None) -> None:
+        """Count one case: None if it held, else its failure message."""
         self.cases_run += 1
-        if not ok:
+        if failure is not None:
             self.cases_failed += 1
             if len(self.first_failures) < MAX_FAILURES_KEPT:
-                self.first_failures.append(describe())
+                self.first_failures.append(failure)
 
     @property
     def passed(self) -> bool:
@@ -116,16 +118,15 @@ def _bound_sweep(p_max: int, q_max: int) -> int:
 
 
 def _run(name: str, scope: dict, cases) -> VerifyReport:
-    """Time a sweep and record each of its (ok, describe) cases.
+    """Time a sweep and record each of its cases, a failure message or None.
 
-    describe() is called, if at all, before the next case is drawn, so a
-    case may close over its generator's loop variables. A scope that holds
-    no case is rejected: an empty sweep would otherwise pass vacuously.
+    A scope that holds no case is rejected: an empty sweep would otherwise
+    pass vacuously.
     """
     start = time.perf_counter()
     report = VerifyReport(scope=scope)
-    for ok, describe in cases:
-        report.record(ok, describe)
+    for failure in cases:
+        report.record(failure)
     report.elapsed = time.perf_counter() - start
     if not report.cases_run:
         shown = ", ".join(f"{k}={v}" for k, v in scope.items())
@@ -141,7 +142,7 @@ def _permutations(p_max: int, q_max: int):
 
 
 def _theorem(name: str, p_max: int, q_max: int, check) -> VerifyReport:
-    """Run check(query, analyze(perm)) -> (ok, describe) over the sweep."""
+    """Run check(query, analyze(perm)) -> failure or None over the sweep."""
     _bound("p_max", p_max, _P_MAX, "permutations are built")
     _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
     _bound_sweep(p_max, q_max)
@@ -151,7 +152,7 @@ def _theorem(name: str, p_max: int, q_max: int, check) -> VerifyReport:
 
 def _sign_case(query, rep):
     want, _ = predict(query)
-    return rep.sign == want, lambda: (
+    return None if rep.sign == want else (
         f"sign mismatch p={query.p} Q={list(query.Q.coeffs)}: "
         f"got {rep.sign}, predicted {want}"
     )
@@ -159,7 +160,7 @@ def _sign_case(query, rep):
 
 def _fixed_case(query, rep):
     _, want = predict(query)
-    return rep.fixed_count == want, lambda: (
+    return None if rep.fixed_count == want else (
         f"fixed-point mismatch p={query.p} Q={list(query.Q.coeffs)}: "
         f"got {rep.fixed_count}, predicted {want}"
     )
@@ -173,7 +174,7 @@ def _cycle_case(query, rep):
         ok = rep.fixed_count in divisor_of and (
             divisor_of[rep.fixed_count] % rep.cycle_lengths[0] == 0
         )
-    return ok, lambda: (
+    return None if ok else (
         f"cycle-structure failure p={p} Q={list(query.Q.coeffs)}: "
         f"fixed={rep.fixed_count} lengths={list(rep.cycle_lengths)}"
     )
@@ -199,10 +200,10 @@ def verify_cycles(p_max: int = 13, q_max: int = 13) -> VerifyReport:
 def _oracle_cases(p_max: int, q_max: int):
     """One case per class P and query (p, Q), on doubled-coordinate tuples.
 
-    Per p it holds each class's canonical rep and rank, and the class rank
-    of each conic point. The gcrd route runs on tuples through the public
+    Per p it holds each class's canonical rep and the canonical rep of each
+    conic point's class. The gcrd route runs on tuples through the public
     kernels; the conjugation route is meta_conj itself; the projective
-    route reads the class of P's image point.
+    route reads the class rep of P's image point.
     """
     p = None
     for query, perm in _permutations(p_max, q_max):
@@ -210,18 +211,17 @@ def _oracle_cases(p_max: int, q_max: int):
             p = query.p
             classes = primes_of_norm(p)
             reps = [P.rep.coeffs for P in classes]
-            rank = {t: i for i, t in enumerate(reps)}
             ground = perm.ground
             index_of = {c: i for i, c in enumerate(ground)}
             class_pos = [index_of[trace_zero_rep(P)] for P in classes]
-            point_class = [rank[conic_to_prime(c).rep.coeffs] for c in ground]
+            point_rep = [conic_to_prime(c).rep.coeffs for c in ground]
         Q, q, images = query.Q, query.q, perm.images
         qt = Q.coeffs
         for P, P_t, i in zip(classes, reps, class_pos):
             pq = mul(P_t, qt)
             d = _norm_p_factor(pq, p)
             c = meta_conj(P, Q).rep.coeffs
-            r = reps[point_class[images[i]]]
+            r = point_rep[images[i]]
             ok = d == c == r
             if ok:
                 # Q' = P Q conj(P') / p is integral, of norm q, and Q' P' = P Q
@@ -230,7 +230,7 @@ def _oracle_cases(p_max: int, q_max: int):
                 if ok:
                     qprime = (num[0] // p, num[1] // p, num[2] // p, num[3] // p)
                     ok = norm(qprime) == q and mul(qprime, d) == pq
-            yield ok, lambda: (
+            yield None if ok else (
                 f"oracle failure p={p} Q={list(qt)} "
                 f"P={list(P_t)}: divide={list(d)} "
                 f"conj={list(c)} perm={list(r)} "
@@ -269,7 +269,7 @@ def _phi_cases(p_max: int, seed: int):
             and mk * mk == minus_one
             and mi * mj * mk == minus_one
         )
-        yield relations_ok, lambda: f"defining relations fail at p={p}"
+        yield None if relations_ok else f"defining relations fail at p={p}"
 
         rng = random.Random(seed * 1_000_003 + p)
         for _ in range(_PHI_PAIRS):
@@ -283,7 +283,7 @@ def _phi_cases(p_max: int, seed: int):
                 and mg.trace() == g.trace()
                 and phi_inv(mg, rep) == g
             )
-            yield ok, lambda: f"phi identity fails p={p} gamma={g.coords} delta={d.coords}"
+            yield None if ok else f"phi identity fails p={p} gamma={g.coords} delta={d.coords}"
 
 
 def verify_phi(p_max: int = 13, seed: int = 0) -> VerifyReport:
@@ -297,12 +297,15 @@ def verify_phi(p_max: int = 13, seed: int = 0) -> VerifyReport:
 def _order_cases(p_max: int):
     for p in odd_primes_up_to(p_max):
         census = pgl2_order_census(p)
-        yield census.get(1) == 1, lambda: f"census p={p}: identity count {census.get(1)}"
+        identity = census.get(1)
+        yield None if identity == 1 else f"census p={p}: identity count {identity}"
         # element orders in the projective group never exceed p+1
         for k in range(2, p + 2):
             want = order_count(k, p)
             got = census.get(k, 0)
-            yield got == want, lambda: f"order census p={p} k={k}: census {got}, formula {want}"
+            yield None if got == want else (
+                f"order census p={p} k={k}: census {got}, formula {want}"
+            )
 
 
 def verify_orders(p_max: int = 13) -> VerifyReport:
@@ -316,7 +319,7 @@ def _counting_cases(p_max: int):
     for p in odd_primes_up_to(p_max):
         classes = primes_of_norm(p)
         points = conic_points(p)
-        yield len(classes) == p + 1 == len(points), lambda: (
+        yield None if len(classes) == p + 1 == len(points) else (
             f"count mismatch p={p}: {len(classes)} classes, {len(points)} conic points"
         )
         if p <= _BIJECTION_P_MAX:
@@ -324,7 +327,7 @@ def _counting_cases(p_max: int):
             ok = sorted(mapped) == list(points) and all(
                 conic_to_prime(c) == P for P, c in zip(classes, mapped)
             )
-            yield ok, lambda: f"trace-zero map is not a bijection with inverse at p={p}"
+            yield None if ok else f"trace-zero map is not a bijection with inverse at p={p}"
 
 
 def verify_counting(p_max: int = 13) -> VerifyReport:

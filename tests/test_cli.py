@@ -1,6 +1,7 @@
 """CLI surface: parsing, schemas, exit codes and output determinism."""
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -119,6 +120,95 @@ def test_conic_schema(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 14
     assert all(len(s.split(":")) == 3 for s in payload)
+
+
+# --------------------------------------------------------------- exact output
+
+# JSON is pinned as the exact text json.dumps gives with indent=2 and sorted keys
+EXACT_OUTPUT = {
+    "primes": (
+        ["primes", "--p", "3"],
+        "p=3: 4 left-associate classes of norm-3 primes\n"
+        "  [-3, -1, -1, -1]  ((-3-i-j-k)/2)\n"
+        "  [-3, -1, -1, 1]  ((-3-i-j+k)/2)\n"
+        "  [-3, -1, 1, -1]  ((-3-i+j-k)/2)\n"
+        "  [-3, -1, 1, 1]  ((-3-i+j+k)/2)\n",
+        [{"class_rep": [-3, -1, -1, -1], "p": 3}, {"class_rep": [-3, -1, -1, 1], "p": 3},
+         {"class_rep": [-3, -1, 1, -1], "p": 3}, {"class_rep": [-3, -1, 1, 1], "p": 3}],
+    ),
+    "conic": (
+        ["conic", "--p", "3"],
+        "p=3: 4 points on x^2+y^2+z^2=0 in P^2(F_3)\n"
+        "  1:1:1\n  1:1:2\n  1:2:1\n  1:2:2\n",
+        ["1:1:1", "1:1:2", "1:2:1", "1:2:2"],
+    ),
+    "permute": (
+        ["permute", "--p", "3", "--Q", "[2,2,0,0]"],
+        "p=3 q=2 Q=[2, 2, 0, 0] central=no\n"
+        "ground:  1:1:1  1:1:2  1:2:1  1:2:2\n"
+        "images:  [1, 3, 0, 2]\n"
+        "cycles:  (0 1 3 2)\n"
+        "sign=-1 fixed=0 cycle_lengths=[4]  (predicted sign=-1 fixed=0; match)\n",
+        {"Q": [2, 2, 0, 0], "central": False, "cycle_lengths": [4], "cycles": "(0 1 3 2)",
+         "fixed": 0, "ground": ["1:1:1", "1:1:2", "1:2:1", "1:2:2"], "images": [1, 3, 0, 2],
+         "matrix": [2, 2, 2, 0], "p": 3, "pass": True, "predicted_fixed": 0,
+         "predicted_sign": -1, "q": 2, "sign": -1, "uniform_length": True},
+    ),
+    "predict": (
+        ["predict", "--p", "5", "--Q", "[2,2,0,0]"],
+        "p=5 q=2 Q=[2, 2, 0, 0] central=no: sign=-1 fixed=2\n",
+        {"Q": [2, 2, 0, 0], "central": False, "p": 5, "predicted_fixed": 2,
+         "predicted_sign": -1, "q": 2},
+    ),
+    "orders": (
+        ["orders", "--p", "5"],
+        "p=5: element orders in the projective group (order 120)\n"
+        "  order   1: 1\n"
+        "  order   2: 25\n"
+        "  order   3: 20\n"
+        "  order   4: 30\n"
+        "  order   5: 24\n"
+        "  order   6: 20\n"
+        "  total: 120\n",
+        {"counts": {"1": 1, "2": 25, "3": 20, "4": 30, "5": 24, "6": 20},
+         "group_order": 120, "p": 5, "total": 120},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", EXACT_OUTPUT)
+def test_text_output_is_exact(capsys, command):
+    argv, text, _ = EXACT_OUTPUT[command]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("command", EXACT_OUTPUT)
+def test_json_output_is_exact(capsys, command):
+    argv, _, payload = EXACT_OUTPUT[command]
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_FAILURES = [
+    "order census p=3 k=2: census 9, formula 10",
+    "order census p=3 k=3: census 8, formula 9",
+    "order census p=3 k=4: census 6, formula 7",
+]
+
+
+def test_a_failing_verify_prints_each_failure(capsys, monkeypatch):
+    order_count = verify_mod.order_count
+    monkeypatch.setattr(verify_mod, "order_count", lambda k, p: order_count(k, p) + 1)
+    assert main(["verify", "orders", "--p-max", "3"]) == 1
+    out = re.sub(r", \d+\.\d\ds\)$", ", X.XXs)", capsys.readouterr().out, flags=re.M)
+    assert out == "verify orders: FAIL  (4 cases, 3 failed, X.XXs)\n" + "".join(
+        f"  {line}\n" for line in _FAILURES
+    )
+    assert main(["verify", "orders", "--p-max", "3", "--format", "json"]) == 1
+    payload = {"cases_failed": 3, "cases_run": 4, "check": "orders",
+               "first_failures": _FAILURES, "passed": False, "scope": {"p_max": 3}}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_orders_totals(capsys):

@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from metacommute import metacomm
+from metacommute import metacomm, modp
 from metacommute.errors import (
     CoprimalityError,
     InternalInvariantViolation,
@@ -541,6 +541,27 @@ def test_predict_central():
 
 def test_predict_p5_q2():
     assert predict(MetaQuery.create(5, ONE_PLUS_I)) == (-1, 2)
+
+
+def test_a_query_runs_the_odd_prime_guard_once(monkeypatch):
+    # MetaQuery.create checks p; predict's two symbols do not check it again
+    guard = metacomm._require_odd_prime
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        guard(p)
+
+    monkeypatch.setattr(metacomm, "_require_odd_prime", counted)
+    monkeypatch.setattr(modp, "_require_odd_prime", counted)
+    query = MetaQuery.create(5, ONE_PLUS_I)
+    assert not query.central
+    assert predict(query) == (-1, 2)
+    assert calls == [5]
+    # the public symbol keeps its guard
+    with pytest.raises(UnsupportedPrime):
+        legendre(2, 9)
+    assert calls == [5, 9]
 
 
 def test_predict_matches_analyze_for_every_composite_norm():
