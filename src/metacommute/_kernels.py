@@ -139,6 +139,66 @@ def gcrd(a, b):
     return a
 
 
+def gcrd_p(h, p):
+    """A left associate of gcrd(h, p), with its norm, for an odd p > 0.
+
+    The remainders are those of gcrd(h, (2p, 0, 0, 0)), and without an early
+    stop the result is the same last nonzero remainder. The first division
+    is the scalar reduction of h mod p: _divide's D4* rounding of
+    h * conj(p) / p^2, with the p in the product cancelled against the
+    divisor's norm.
+
+    The loop stops at the first remainder b of norm p with h * conj(b) = 0
+    mod p. Every remainder lies in the left ideal O h + O p = O gcrd(h, p),
+    so b = x gcrd(h, p); and b right-divides p = conj(b) b and
+    h = (h conj(b) / p) b, hence gcrd(h, p) too, so x is a unit.
+    """
+    A, B, C, D = h
+    # half-down rounding of c / 2p (even coset) is (c + p - 1) // 2p, and of
+    # (c - p) / 2p (odd coset) it is (c - 1) // 2p; each coset's squared
+    # distance is then 4 N(h - q p)
+    p2 = 2 * p
+    up = p - 1
+    e0 = 2 * ((A + up) // p2)
+    e1 = 2 * ((B + up) // p2)
+    e2 = 2 * ((C + up) // p2)
+    e3 = 2 * ((D + up) // p2)
+    o0 = 2 * ((A - 1) // p2) + 1
+    o1 = 2 * ((B - 1) // p2) + 1
+    o2 = 2 * ((C - 1) // p2) + 1
+    o3 = 2 * ((D - 1) // p2) + 1
+    d0 = A - p * e0
+    d1 = B - p * e1
+    d2 = C - p * e2
+    d3 = D - p * e3
+    even = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+    d0 = A - p * o0
+    d1 = B - p * o1
+    d2 = C - p * o2
+    d3 = D - p * o3
+    odd = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+    if odd < even or odd == even and (o0, o1, o2, o3) < (e0, e1, e2, e3):
+        q0, q1, q2, q3, s = o0, o1, o2, o3, odd
+    else:
+        q0, q1, q2, q3, s = e0, e1, e2, e3, even
+    if s & 3:
+        raise ValueError("non-integral norm; parity constraint violated")
+    n = s >> 2
+    if n >= p * p:
+        raise ValueError("division failed to reduce the norm")
+    b = (A - p * q0, B - p * q1, C - p * q2, D - p * q3)
+
+    a, n_a = (p2, 0, 0, 0), p * p
+    while n:
+        if n == p:
+            c0, c1, c2, c3 = mul(h, (b[0], -b[1], -b[2], -b[3]))
+            if not (c0 % p or c1 % p or c2 % p or c3 % p):
+                return b, n
+        _, r, n_r = _divide(a, b, n)
+        a, n_a, b, n = b, n, r, n_r
+    return a, n_a
+
+
 def _signs(v):
     """The signs s with s * v = -|v|: both of them when v is 0."""
     return (1, -1) if not v else ((-1,) if v > 0 else (1,))

@@ -81,7 +81,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(self.p + 1)):
+        # p+1 images that cover range(p+1) take each value exactly once
+        images = self.images
+        if not (len(images) == self.p + 1 and set(images).issuperset(range(self.p + 1))):
             raise InternalInvariantViolation("images are not a bijection")
 
     @property
@@ -162,14 +164,17 @@ def _act(p: int, matrix: tuple[int, int, int, int], keys, pos) -> tuple[int, ...
     if (a1 * a4 - a2 * a3) % p == 0:
         raise SingularMatrix("projective action needs an invertible matrix")
     inv = inv_table(p)
-    images = []
-    for key in keys:
-        if key == p:  # <0,1> goes to <a3, a4>
-            x, y = a3, a4
-        else:  # <1,key> goes to <a1 + a3 key, a2 + a4 key>
-            x, y = (a1 + a3 * key) % p, (a2 + a4 * key) % p
-        # x = 0 forces y != 0, since det A != 0
-        images.append(pos[y * inv[x] % p] if x else pos[p])
+    # <1,key> goes to <a1 + a3 key, a2 + a4 key> = <1, (a2 + a4 key) / (a1 + a3 key)>
+    images = [pos[(a2 + a4 * key) * inv[(a1 + a3 * key) % p] % p] for key in keys]
+    # two points leave the chart that formula reads: <0,1> (key p), which goes
+    # to <a3, a4>, and the <1,key> with a1 + a3 key = 0, which goes to <0,1>;
+    # with a3 = 0 the second does not exist (a1 != 0, since det A != 0)
+    if a3:
+        inv_a3 = inv[a3]
+        images[pos[p]] = pos[a4 * inv_a3 % p]
+        images[pos[-a1 * inv_a3 % p]] = pos[p]
+    else:
+        images[pos[p]] = pos[p]
     return tuple(images)
 
 
@@ -219,15 +224,34 @@ def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
 
 
 def analyze(perm: Permutation) -> PermReport:
-    """Sign, fixed-point count and non-fixed cycle lengths of a permutation."""
-    cycles = cycle_decomposition(perm.images)
-    fixed = sum(1 for c in cycles if len(c) == 1)
-    lengths = tuple(sorted(len(c) for c in cycles if len(c) > 1))
-    sign = -1 if sum(1 for c in cycles if len(c) % 2 == 0) % 2 else 1
+    """Sign, fixed-point count and non-fixed cycle lengths of a permutation.
+
+    Walks cycle lengths only: Permutation has checked that images is a
+    bijection, so every walk closes at its start. The loop never meets a
+    start again, so a walk marks only the rest of its cycle."""
+    images = perm.images
+    seen = bytearray(len(images))
+    fixed = 0
+    lengths = []
+    for start, j in enumerate(images):
+        if seen[start]:
+            continue
+        if j == start:
+            fixed += 1
+            continue
+        length = 1
+        while j != start:
+            seen[j] = 1
+            j = images[j]
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    # a k-cycle is k - 1 transpositions
+    sign = -1 if (len(images) - fixed - len(lengths)) % 2 else 1
     return PermReport(
         sign=sign,
         fixed_count=fixed,
-        cycle_lengths=lengths,
+        cycle_lengths=tuple(lengths),
         uniform_length=len(set(lengths)) <= 1,
     )
 

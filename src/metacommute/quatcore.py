@@ -269,13 +269,12 @@ def _require_odd_prime(p: int) -> None:
 def _norm_p_factor(h: tuple[int, int, int, int], p: int) -> tuple[int, int, int, int]:
     """The canonical rep of gcrd(h, p), in doubled coordinates, checked to
     have norm p: the prime of norm p that right-divides h."""
-    d = _kernels.canonical_min(_kernels.gcrd(h, (2 * p, 0, 0, 0)))
-    n = _kernels.norm(d)
+    d, n = _kernels.gcrd_p(h, p)
     if n != p:
         raise InternalInvariantViolation(
             f"gcrd({HurwitzInt._wrap(h)!r}, {p}) has norm {n}, expected {p}"
         )
-    return d
+    return _kernels.canonical_min(d)
 
 
 def is_prime(h: HurwitzInt) -> bool:

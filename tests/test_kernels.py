@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metacommute import _kernels
-from metacommute.quatcore import elements_of_norm
+from metacommute.geometry import conic_points
+from metacommute.quatcore import elements_of_norm, primes_of_norm
 
 
 def rand_tuple(rng, span=40):
@@ -166,6 +167,100 @@ def test_gcrd_and_right_divmod_match_the_coset_loop():
         assert _kernels.gcrd(a, b) == _reference_gcrd(a, b), (a, b)
         if b != zero:
             assert _kernels.right_divmod(a, b) == _reference_right_divmod(a, b), (a, b)
+
+
+ZERO = (0, 0, 0, 0)
+
+
+def _gcrd_p_checked(h, p):
+    """gcrd_p(h, p), checked against the general gcrd: the same class, the
+    norm it reports, and a right divisor of h. Returns the norm."""
+    d, n = _kernels.gcrd_p(h, p)
+    assert _kernels.canonical_min(d) == _kernels.canonical_min(_kernels.gcrd(h, (2 * p, 0, 0, 0)))
+    assert n == _kernels.norm(d)
+    assert _kernels.right_divmod(h, d)[1] == ZERO
+    return n
+
+
+@pytest.mark.parametrize("p", [3, 13, 4999])
+def test_gcrd_p_matches_gcrd_on_seeded_products(p):
+    # the oracle's case: h = P Q, whose gcrd with p is a class of norm p
+    rng = random.Random(151 + p)
+    classes = primes_of_norm(p)
+    for i in range(400):
+        Q = rand_tuple(rng, (3, 40, 1 << 20)[i % 3])
+        h = _kernels.mul(rng.choice(classes).rep.coeffs, Q)
+        # gcrd(P Q, p) is p itself when P Q = 0 mod p, and of norm p otherwise
+        want = p * p if all(v % p == 0 for v in h) else p
+        assert _gcrd_p_checked(h, p) == want, (h, p)
+
+
+@pytest.mark.parametrize("p", [8209, 99991])
+def test_gcrd_p_matches_gcrd_on_conic_lifts(p):
+    # conic_to_prime's lift t = xi + yj + zk has coordinates in [0, p); the
+    # lift t + p k i with 2 x k = -N(t) / p mod p has p^2 | N
+    rng = random.Random(p)
+    for c in rng.sample(conic_points(p), 40):
+        x, y, z = c.x, c.y, c.z
+        if not x:
+            continue
+        k = -(x * x + y * y + z * z) // p * pow(2 * x, -1, p) % p
+        heavy = (0, 2 * (x + p * k), 2 * y, 2 * z)
+        assert _kernels.norm(heavy) % (p * p) == 0
+        assert _gcrd_p_checked((0, 2 * x, 2 * y, 2 * z), p) == p
+        assert _gcrd_p_checked(heavy, p) == p
+
+
+def test_gcrd_p_stops_at_its_norm_p_remainder(monkeypatch):
+    # on the oracle's products the early stop skips at least the division by
+    # the norm-p remainder that the general gcrd makes to reach 0
+    divide = _kernels._divide
+    calls = []
+
+    def counted(a, b, n):
+        calls.append(n)
+        return divide(a, b, n)
+
+    monkeypatch.setattr(_kernels, "_divide", counted)
+    p = 13
+    rng = random.Random(163)
+    for P in primes_of_norm(p):
+        h = _kernels.mul(P.rep.coeffs, rand_tuple(rng, 5))
+        if all(v % p == 0 for v in h):
+            continue
+        del calls[:]
+        _kernels.gcrd(h, (2 * p, 0, 0, 0))
+        full = len(calls)
+        del calls[:]
+        _kernels.gcrd_p(h, p)
+        # gcrd divides p^2 out first and p last; gcrd_p does neither
+        assert full >= 2 and len(calls) <= full - 2 and p not in calls, h
+
+
+def test_gcrd_p_is_gcrd_when_the_gcrd_is_a_unit_or_p():
+    # with p prime to N(h) the gcrd is a unit: no remainder passes the early
+    # stop's check, so every remainder and the result are gcrd's own; with
+    # h = 0 mod p the scalar reduction leaves 0 and the result is p. Whole
+    # multiples of p among the coordinates put h / p on half-way points
+    rng = random.Random(157)
+    units = zeros = 0
+    for i in range(4_000):
+        p = (3, 5, 7, 13, 101)[i % 5]
+        parity = rng.randrange(2)
+        h = tuple(
+            p * (2 * rng.randrange(-9, 10) + parity) if rng.randrange(2)
+            else 2 * rng.randrange(-5 * p, 5 * p) + parity
+            for _ in range(4)
+        )
+        if _kernels.norm(h) % p:
+            assert _kernels.gcrd_p(h, p) == (_kernels.gcrd(h, (2 * p, 0, 0, 0)), 1), (h, p)
+            units += 1
+        elif all(v % p == 0 for v in h):
+            assert _kernels.gcrd_p(h, p) == ((2 * p, 0, 0, 0), p * p), (h, p)
+            zeros += 1
+        else:
+            assert _gcrd_p_checked(h, p) == p
+    assert units > 2_000 and zeros > 100
 
 
 def _reference_canonical_min(h):

@@ -510,6 +510,55 @@ def test_permutation_rejects_non_bijection():
         Permutation(p=3, images=(0, 0, 1, 2))
     with pytest.raises(InternalInvariantViolation):
         Permutation(p=3, images=(0, 1, 2))  # p+1 = 4 points, 3 images
+    for images in (
+        (0, 1, 2, 3, 4, 4),  # a duplicate image
+        (1, 2, 3, 4, 0),  # p images
+        (0, 1, 2, 3, 4, 5, 6),  # p + 2 images
+        (0, 1, 2, 3, 4, 6),  # an image equal to p + 1, with the length right
+        (0, 1, 2, 3, 4, -1),  # a negative image
+    ):
+        with pytest.raises(InternalInvariantViolation, match="not a bijection"):
+            Permutation(p=5, images=images)
+
+
+def _reference_report(images):
+    """analyze's report, read off the full cycle_decomposition."""
+    cycles = cycle_decomposition(images)
+    lengths = tuple(sorted(len(c) for c in cycles if len(c) > 1))
+    evens = sum(1 for c in cycles if len(c) % 2 == 0)
+    return metacomm.PermReport(
+        sign=(-1) ** evens,
+        fixed_count=sum(1 for c in cycles if len(c) == 1),
+        cycle_lengths=lengths,
+        uniform_length=len(set(lengths)) <= 1,
+    )
+
+
+def _seeded_permutations():
+    rng = random.Random(17)
+    for n in (1, 2, 3, 4, 5, 8, 31, 32, 308, 500):
+        yield tuple(range(n))  # the identity
+        yield tuple(range(1, n)) + (0,)  # one n-cycle
+        # an involution: a random number of disjoint transpositions
+        points = list(range(n))
+        rng.shuffle(points)
+        images = list(range(n))
+        for k in range(0, rng.randrange(n + 1) // 2 * 2, 2):
+            x, y = points[k], points[k + 1]
+            images[x], images[y] = y, x
+        yield tuple(images)
+        for _ in range(5):
+            rng.shuffle(points)
+            yield tuple(points)
+
+
+def test_analyze_matches_the_cycle_decomposition():
+    count = 0
+    for images in _seeded_permutations():
+        perm = Permutation(p=len(images) - 1, images=images)
+        assert analyze(perm) == _reference_report(images), images
+        count += 1
+    assert count == 80
 
 
 def test_report_invariants_over_sample():

@@ -500,11 +500,19 @@ def test_prime_class_dividing_is_the_norm_p_right_factor():
                 assert right_divmod(P.rep * Q, D.rep)[1] == make(0, 0, 0, 0)
 
 
+_GCRD_NORM_MESSAGES = {
+    (14, 0, 0, 0): "gcrd(HurwitzInt(14, 0, 0, 0), 7) has norm 49, expected 7",
+    (2, 0, 0, 0): "gcrd(HurwitzInt(2, 0, 0, 0), 7) has norm 1, expected 7",
+    (2, 2, 0, 0): "gcrd(HurwitzInt(2, 2, 0, 0), 7) has norm 1, expected 7",
+}
+
+
 @pytest.mark.parametrize("h", [HurwitzInt.scalar(7), ONE, make(2, 2, 0, 0)])
 def test_prime_class_dividing_rejects_a_gcrd_without_norm_p(h):
     # gcrd(7, 7) = 7 has norm 49; gcrd(1, 7) and gcrd(1+i, 7) are units
-    with pytest.raises(InternalInvariantViolation):
+    with pytest.raises(InternalInvariantViolation) as info:
         PrimeClass.dividing(h, 7)
+    assert str(info.value) == _GCRD_NORM_MESSAGES[h.coeffs]
 
 
 def test_slot_set_constructors_keep_the_dataclass_contract():
