@@ -39,36 +39,17 @@ def norm(x):
     return s >> 2
 
 
-def _divide(a, b, n):
-    """One right division of a by b, where n = norm(b) > 0.
+def _nearest(m0, m1, m2, m3, n):
+    """The least nearest D4* point to m / n, for n > 0.
 
-    Returns (q, r, norm(r)) with a = q*b + r and norm(r) < n. q is a nearest
-    Hurwitz point to a * conj(b) / n; among candidates at equal squared
-    distance the lexicographically least doubled coordinates win. The
-    products a * conj(b) and q * b are written out on local ints, each with
-    the parity check of mul, and norm(r) keeps the parity check of norm.
+    D4* is the lattice of doubled coordinates all even or all odd (Conway &
+    Sloane 1982). Within one coset the squared distance splits by
+    coordinate, so rounding each coordinate half-down gives that coset's
+    lexicographically least nearest point; the lesser (distance, coords) of
+    the two coset winners is then the least nearest point overall. Half-down
+    rounding of c / 2n is (c + n - 1) // 2n (even coset); of (c - n) / 2n it
+    is (c - 1) // 2n (odd coset).
     """
-    A, B, C, D = a
-    E, F, G, H = b
-    m0 = A * E + B * F + C * G + D * H
-    m1 = B * E - A * F - C * H + D * G
-    m2 = C * E - A * G + B * H - D * F
-    m3 = D * E - A * H - B * G + C * F
-    if (m0 | m1 | m2 | m3) & 1:
-        raise ValueError("non-integral product; parity constraint violated")
-    m0 >>= 1
-    m1 >>= 1
-    m2 >>= 1
-    m3 >>= 1
-
-    # The quotient is a nearest point of the D4* lattice (doubled coordinates
-    # all even or all odd) to m / n (Conway & Sloane 1982). Within one coset
-    # the squared distance splits by coordinate, so rounding each coordinate
-    # half-down gives that coset's lexicographically least nearest point;
-    # the lesser (distance, coords) of the two coset winners is then the
-    # least nearest point overall. Half-down rounding of c / 2n is
-    # (c + n - 1) // 2n (even coset); of (c - n) / 2n it is (c - 1) // 2n
-    # (odd coset).
     n2 = 2 * n
     up = n - 1
     e0 = 2 * ((m0 + up) // n2)
@@ -90,28 +71,25 @@ def _divide(a, b, n):
     d3 = m3 - n * o3
     odd = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
     if odd < even or odd == even and (o0, o1, o2, o3) < (e0, e1, e2, e3):
-        q0, q1, q2, q3 = o0, o1, o2, o3
-    else:
-        q0, q1, q2, q3 = e0, e1, e2, e3
+        return o0, o1, o2, o3
+    return e0, e1, e2, e3
 
-    # r = a - q * b
-    s0 = q0 * E - q1 * F - q2 * G - q3 * H
-    s1 = q0 * F + q1 * E + q2 * H - q3 * G
-    s2 = q0 * G - q1 * H + q2 * E + q3 * F
-    s3 = q0 * H + q1 * G - q2 * F + q3 * E
-    if (s0 | s1 | s2 | s3) & 1:
-        raise ValueError("non-integral product; parity constraint violated")
-    r0 = A - (s0 >> 1)
-    r1 = B - (s1 >> 1)
-    r2 = C - (s2 >> 1)
-    r3 = D - (s3 >> 1)
-    s = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
-    if s & 3:
-        raise ValueError("non-integral norm; parity constraint violated")
-    s >>= 2
+
+def _divide(a, b, n):
+    """One right division of a by b, where n = norm(b) > 0.
+
+    Returns (q, r, norm(r)) with a = q*b + r and norm(r) < n. q is the least
+    nearest Hurwitz point to a * conj(b) / n, by _nearest.
+    """
+    E, F, G, H = b
+    m0, m1, m2, m3 = mul(a, (E, -F, -G, -H))  # a plain call costs less than *m
+    q = _nearest(m0, m1, m2, m3, n)
+    s0, s1, s2, s3 = mul(q, b)
+    r = (a[0] - s0, a[1] - s1, a[2] - s2, a[3] - s3)
+    s = norm(r)
     if s >= n:
         raise ValueError("division failed to reduce the norm")
-    return (q0, q1, q2, q3), (r0, r1, r2, r3), s
+    return q, r, s
 
 
 def right_divmod(a, b):
@@ -144,9 +122,9 @@ def gcrd_p(h, p):
 
     The remainders are those of gcrd(h, (2p, 0, 0, 0)), and without an early
     stop the result is the same last nonzero remainder. The first division
-    is the scalar reduction of h mod p: _divide's D4* rounding of
-    h * conj(p) / p^2, with the p in the product cancelled against the
-    divisor's norm.
+    is the scalar reduction of h mod p: _divide's quotient
+    _nearest(h * conj(p), p^2), with the p in the product cancelled against
+    the divisor's norm, is _nearest(h, p).
 
     The loop stops at the first remainder b of norm p with h * conj(b) = 0
     mod p. Every remainder lies in the left ideal O h + O p = O gcrd(h, p),
@@ -154,41 +132,13 @@ def gcrd_p(h, p):
     h = (h conj(b) / p) b, hence gcrd(h, p) too, so x is a unit.
     """
     A, B, C, D = h
-    # half-down rounding of c / 2p (even coset) is (c + p - 1) // 2p, and of
-    # (c - p) / 2p (odd coset) it is (c - 1) // 2p; each coset's squared
-    # distance is then 4 N(h - q p)
-    p2 = 2 * p
-    up = p - 1
-    e0 = 2 * ((A + up) // p2)
-    e1 = 2 * ((B + up) // p2)
-    e2 = 2 * ((C + up) // p2)
-    e3 = 2 * ((D + up) // p2)
-    o0 = 2 * ((A - 1) // p2) + 1
-    o1 = 2 * ((B - 1) // p2) + 1
-    o2 = 2 * ((C - 1) // p2) + 1
-    o3 = 2 * ((D - 1) // p2) + 1
-    d0 = A - p * e0
-    d1 = B - p * e1
-    d2 = C - p * e2
-    d3 = D - p * e3
-    even = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-    d0 = A - p * o0
-    d1 = B - p * o1
-    d2 = C - p * o2
-    d3 = D - p * o3
-    odd = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-    if odd < even or odd == even and (o0, o1, o2, o3) < (e0, e1, e2, e3):
-        q0, q1, q2, q3, s = o0, o1, o2, o3, odd
-    else:
-        q0, q1, q2, q3, s = e0, e1, e2, e3, even
-    if s & 3:
-        raise ValueError("non-integral norm; parity constraint violated")
-    n = s >> 2
+    q0, q1, q2, q3 = _nearest(A, B, C, D, p)
+    b = (A - p * q0, B - p * q1, C - p * q2, D - p * q3)
+    n = norm(b)
     if n >= p * p:
         raise ValueError("division failed to reduce the norm")
-    b = (A - p * q0, B - p * q1, C - p * q2, D - p * q3)
 
-    a, n_a = (p2, 0, 0, 0), p * p
+    a, n_a = (2 * p, 0, 0, 0), p * p
     while n:
         if n == p:
             c0, c1, c2, c3 = mul(h, (b[0], -b[1], -b[2], -b[3]))

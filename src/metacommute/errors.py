@@ -10,7 +10,11 @@ class ParityError(MetacommuteError, ValueError):
 
 
 class ZeroInput(MetacommuteError, ValueError):
-    """Operation is undefined for the zero quaternion."""
+    """Operation is undefined for the zero quaternion or the zero vector."""
+
+
+class DomainError(MetacommuteError, ValueError):
+    """An argument lies outside the set a function or value type is defined on."""
 
 
 class DivideByZero(MetacommuteError, ZeroDivisionError):

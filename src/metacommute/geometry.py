@@ -8,9 +8,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from metacommute.errors import (
+    DomainError,
     InternalInvariantViolation,
     ModulusMismatch,
     SingularMatrix,
+    ZeroInput,
 )
 from metacommute.modp import FpMat2, TwoSquareRep, _phi_entries, sqrt_table
 from metacommute.quatcore import (
@@ -42,11 +44,11 @@ class ConicPoint:
         x, y, z = x % p, y % p, z % p
         lead = x or y or z
         if not lead:
-            raise ValueError("(0, 0, 0) is not a projective point")
+            raise ZeroInput("(0, 0, 0) is not a projective point")
         inv = pow(lead, -1, p)
         pt = cls(p, (x * inv) % p, (y * inv) % p, (z * inv) % p)
         if (pt.x ** 2 + pt.y ** 2 + pt.z ** 2) % p != 0:
-            raise ValueError(f"({x}:{y}:{z}) is not on the conic mod {p}")
+            raise DomainError(f"({x}:{y}:{z}) is not on the conic mod {p}")
         return pt
 
     def __str__(self) -> str:
@@ -69,7 +71,7 @@ class ProjPoint:
         x, y = x % p, y % p
         if x == 0:
             if y == 0:
-                raise ValueError("(0, 0) is not a projective point")
+                raise ZeroInput("(0, 0) is not a projective point")
             return cls(p, 0, 1)
         return cls(p, 1, (y * pow(x, -1, p)) % p)
 

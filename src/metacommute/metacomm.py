@@ -18,6 +18,7 @@ from math import gcd, lcm
 
 from metacommute.errors import (
     CoprimalityError,
+    DomainError,
     InternalInvariantViolation,
     ScaleLimit,
     SingularMatrix,
@@ -292,7 +293,7 @@ def order_count(k: int, p: int) -> int:
     points: phi(k) p(p-1)/2 for k | p+1, plus phi(k) p(p+1)/2 for k | p-1
     (both branches apply at k = 2), and p^2 - 1 for k = p."""
     if k <= 1:
-        raise ValueError("order_count is defined for k > 1")
+        raise DomainError("order_count is defined for k > 1")
     _require_odd_prime(p)
     total = 0
     if (p + 1) % k == 0:

@@ -20,6 +20,7 @@ from typing import Iterator
 from metacommute import _kernels
 from metacommute.errors import (
     DivideByZero,
+    DomainError,
     InternalInvariantViolation,
     NonPrimeNorm,
     ParityError,
@@ -290,23 +291,35 @@ class PrimeClass:
     p: int
 
     def __init__(self, rep: HurwitzInt, p: int):
+        if not isinstance(p, int) or not _is_rational_prime(p):
+            raise NonPrimeNorm(f"norm {p} is not a rational prime")
+        if not isinstance(rep, HurwitzInt) or rep.norm() != p or canonical_rep(rep) != rep:
+            raise DomainError(f"{rep!r} is not the canonical rep of a prime of norm {p}")
         # the dataclass __init__ would set the frozen fields through
         # object.__setattr__; the slot setters do the same for less
         _set_class_rep(self, rep)
         _set_class_p(self, p)
 
     @classmethod
+    def _unchecked(cls, rep: HurwitzInt, p: int) -> "PrimeClass":
+        """PrimeClass(rep, p) without its check, for a class that holds by construction."""
+        c = object.__new__(cls)
+        _set_class_rep(c, rep)
+        _set_class_p(c, p)
+        return c
+
+    @classmethod
     def of(cls, h: HurwitzInt) -> "PrimeClass":
         n = h.norm()
         if not _is_rational_prime(n):
             raise NonPrimeNorm(f"norm {n} is not a rational prime")
-        return cls(rep=canonical_rep(h), p=n)
+        return cls._unchecked(canonical_rep(h), n)
 
     @classmethod
     def dividing(cls, h: HurwitzInt, p: int) -> "PrimeClass":
         """The class of gcrd(h, p), which must have norm p: the prime of norm
         p that right-divides h."""
-        return cls(rep=HurwitzInt._wrap(_norm_p_factor(h.coeffs, p)), p=p)
+        return cls._unchecked(HurwitzInt._wrap(_norm_p_factor(h.coeffs, p)), p)
 
     def __repr__(self) -> str:
         return f"PrimeClass({self.rep!r}, p={self.p})"
@@ -341,7 +354,7 @@ def _norm_solutions(n: int) -> Iterator[tuple[int, int, int, int]]:
 def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
     """All Hurwitz integers of norm n, lexicographically sorted."""
     if n < 0:
-        raise ValueError("norm is non-negative")
+        raise DomainError("norm is non-negative")
     return tuple(HurwitzInt._wrap(t) for t in _norm_solutions(n))
 
 
@@ -388,7 +401,7 @@ def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     # and only the boundary needs canonical_min. The cone is walked in
     # lexicographic order, so the classes come out sorted
     return tuple(
-        PrimeClass(rep=HurwitzInt._wrap(t), p=p)
+        PrimeClass._unchecked(HurwitzInt._wrap(t), p)
         for t in _cone_candidates(p)
         if -t[0] > abs(t[1]) + abs(t[2]) + abs(t[3]) or _kernels.canonical_min(t) == t
     )

@@ -8,10 +8,13 @@ import pytest
 
 from metacommute import geometry
 from metacommute.errors import (
+    DomainError,
     InternalInvariantViolation,
+    MetacommuteError,
     ModulusMismatch,
     SingularMatrix,
     UnsupportedPrime,
+    ZeroInput,
 )
 from metacommute.geometry import (
     ConicPoint,
@@ -118,6 +121,18 @@ def test_conic_point_normalization_and_validation():
         ConicPoint.normalized(3, 0, 0, 0)
     with pytest.raises(ValueError):
         ConicPoint.normalized(3, 1, 0, 0)  # not on the conic
+
+
+def test_normalized_points_raise_typed_errors():
+    # each is a MetacommuteError and still a ValueError
+    for call, error in (
+        (lambda: ConicPoint.normalized(3, 0, 3, -6), ZeroInput),
+        (lambda: ConicPoint.normalized(5, 1, 0, 0), DomainError),
+        (lambda: ProjPoint.normalized(7, 7, 0), ZeroInput),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, MetacommuteError) and isinstance(info.value, ValueError)
 
 
 # --------------------------------------------------------- class <-> conic

@@ -43,6 +43,64 @@ def _reference_quotient(a, b):
     return best, sum(1 for s, _ in cands if s == best[0])
 
 
+def _brute_nearest(m, n):
+    """Every D4* point near m / n as (squared distance, point), least first.
+    Each coset's nearest points lie within 1 of m / n in every coordinate, so
+    the box floor(m / n) - 1 .. floor(m / n) + 2 holds them."""
+    box = [range(c // n - 1, c // n + 3) for c in m]
+    return sorted(
+        (sum((c - n * x) ** 2 for c, x in zip(m, q)), q)
+        for q in product(*box) if len({x & 1 for x in q}) == 1
+    )
+
+
+def test_nearest_matches_a_brute_force_search_ties_included():
+    # m ranges over every integer vector, not only products a * conj(b) with
+    # norm(b) = n; small n puts m / n on half-way points often, inside one
+    # coset and between the two
+    rng = random.Random(173)
+    ties = {"even": 0, "odd": 0, "across": 0}
+    big = (2**61 - 1, 10**12, 99_991**2)
+    cases = [(n, 150) for n in range(1, 13)] + [(n, 100) for n in big]
+    for n, count in cases:
+        for i in range(count):
+            if n in big and i % 2:
+                # whole and half multiples of n put large-n points on ties too
+                m = tuple(rng.randrange(-9, 10) * n // 2 for _ in range(4))
+            elif n in big:
+                m = tuple(rng.randrange(-n << 40, n << 40) for _ in range(4))
+            else:
+                m = tuple(rng.randrange(-5 * n, 5 * n + 1) for _ in range(4))
+            cands = _brute_nearest(m, n)
+            d, q = cands[0]
+            assert _kernels._nearest(*m, n) == q, (m, n)
+            parities = {t[0] & 1 for s, t in cands[1:] if s == d}
+            ties[("even", "odd")[q[0] & 1]] += q[0] & 1 in parities
+            ties["across"] += 1 - (q[0] & 1) in parities
+    assert min(ties.values()) > 100, ties
+
+
+def test_divide_and_gcrd_p_round_through_nearest(monkeypatch):
+    # the D4* decoder is written once: both divisions take their quotient
+    # from _nearest, gcrd_p's first step with divisor p
+    nearest = _kernels._nearest
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return nearest(*args)
+
+    monkeypatch.setattr(_kernels, "_nearest", spy)
+    h, p = (7, -3, 5, 1), 13
+    _kernels.gcrd_p(h, p)
+    assert calls[0] == (*h, p) and len(calls) > 1
+    a, b = (9, 1, -3, 5), (3, 1, 1, -1)
+    del calls[:]
+    q, _ = _kernels.right_divmod(a, b)
+    assert calls == [(*_kernels.mul(a, (3, -1, -1, 1)), 3)]
+    assert q == nearest(*calls[0])
+
+
 def test_selected_backend_is_consistent():
     assert _kernels.kernel_backend() == "python"
 

@@ -12,7 +12,9 @@ import pytest
 from metacommute import metacomm, modp
 from metacommute.errors import (
     CoprimalityError,
+    DomainError,
     InternalInvariantViolation,
+    MetacommuteError,
     ScaleLimit,
     SingularMatrix,
     UnsupportedPrime,
@@ -138,7 +140,7 @@ def test_meta_conj_rejects_a_bad_modulus_before_coprimality():
     assert two.p == 2
     with pytest.raises(UnsupportedPrime):
         meta_conj(two, ONE_PLUS_I)
-    nine = PrimeClass(rep=HurwitzInt.scalar(3), p=9)
+    nine = PrimeClass._unchecked(HurwitzInt.scalar(3), 9)
     with pytest.raises(UnsupportedPrime):
         meta_conj(nine, make(2, 2, 2, 0))  # norm 3
 
@@ -147,7 +149,7 @@ def test_meta_conj_checks_the_class_before_the_query():
     # a class whose rep does not have norm p fails trace_zero_rep's conic
     # check whatever Q is; a well-formed class still meets the coprimality
     # check on a Q whose norm p divides
-    bad = PrimeClass(rep=HurwitzInt.scalar(2), p=13)
+    bad = PrimeClass._unchecked(HurwitzInt.scalar(2), 13)
     for Q in (make(6, 4, 0, 0), HurwitzInt.scalar(13), ONE_PLUS_I):  # norms 13, 169, 2
         with pytest.raises(InternalInvariantViolation):
             meta_conj(bad, Q)
@@ -641,6 +643,13 @@ def test_order_count_examples():
     assert order_count(5, 3) == 0
     with pytest.raises(ValueError):
         order_count(1, 3)
+
+
+def test_order_count_rejects_k_below_two_with_a_typed_error():
+    for k in (1, 0, -4):
+        with pytest.raises(DomainError, match="defined for k > 1") as info:
+            order_count(k, 5)
+        assert isinstance(info.value, MetacommuteError) and isinstance(info.value, ValueError)
 
 
 FROZEN_CENSUS = {

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from metacommute import _kernels
 from metacommute.errors import (
     DivideByZero,
+    DomainError,
     InternalInvariantViolation,
+    MetacommuteError,
     NonPrimeNorm,
     ParityError,
     ScaleLimit,
@@ -587,6 +589,34 @@ def test_elements_of_norm_matches_brute_force():
             want[s // 4].append(t)
     for n, quads in want.items():
         assert [h.coeffs for h in elements_of_norm(n)] == sorted(quads), n
+
+
+def test_elements_of_norm_rejects_a_negative_norm_with_a_typed_error():
+    with pytest.raises(DomainError, match="non-negative") as info:
+        elements_of_norm(-1)
+    assert isinstance(info.value, MetacommuteError) and isinstance(info.value, ValueError)
+
+
+def test_prime_class_accepts_exactly_the_canonical_rep_of_a_prime_norm():
+    for p in (2, 3, 7, 13):
+        reps = {P.rep for P in primes_of_norm(p)} if p > 2 else {canonical_rep(make(2, 2, 0, 0))}
+        for h in elements_of_norm(p):
+            if h in reps:
+                assert PrimeClass(h, p) == PrimeClass.of(h)
+            else:
+                with pytest.raises(DomainError, match="not the canonical rep"):
+                    PrimeClass(h, p)
+    P = primes_of_norm(7)[2]
+    bad = [(-P.rep, 7), (make(2, 0, 0, 0), 7), (P.rep, 11), (make(0, 0, 0, 0), 7), (P.rep.coeffs, 7)]
+    for rep, p in bad:
+        with pytest.raises(DomainError) as info:
+            PrimeClass(rep, p)
+        assert isinstance(info.value, MetacommuteError) and isinstance(info.value, ValueError)
+    for p in (9, 1, 0, -7, 7.0):
+        with pytest.raises(NonPrimeNorm):
+            PrimeClass(HurwitzInt.scalar(3), p)
+    # the constructors that build classes by construction skip the check
+    assert PrimeClass._unchecked(-P.rep, 7) != P
 
 
 def test_elements_of_norm_mass():

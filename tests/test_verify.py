@@ -77,7 +77,7 @@ def test_a_failure_names_each_route_answer(monkeypatch):
 def _associate_class(c):
     # i times the canonical rep: not the name of any class in primes_of_norm
     P = _conic_to_prime(c)
-    return PrimeClass(HurwitzInt._wrap(_kernels.mul((0, 2, 0, 0), P.rep.coeffs)), P.p)
+    return PrimeClass._unchecked(HurwitzInt._wrap(_kernels.mul((0, 2, 0, 0), P.rep.coeffs)), P.p)
 
 
 def test_a_projective_answer_outside_the_class_list_is_a_disagreement(monkeypatch):
