@@ -14,7 +14,14 @@ from metacommute.errors import (
     SingularMatrix,
     ZeroInput,
 )
-from metacommute.modp import FpMat2, TwoSquareRep, _phi_entries, sqrt_table
+from metacommute.modp import (
+    FpMat2,
+    TwoSquareRep,
+    _phi_entries,
+    inv_table,
+    sqrt_table,
+    two_square_rep,
+)
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
@@ -74,9 +81,6 @@ class ProjPoint:
                 raise ZeroInput("(0, 0) is not a projective point")
             return cls(p, 0, 1)
         return cls(p, 1, (y * pow(x, -1, p)) % p)
-
-    def __str__(self) -> str:
-        return f"[{self.x},{self.y}]"
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +184,45 @@ def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:
         raise ModulusMismatch(f"moduli differ: {p} vs {rep.p}")
     key = _proj_key(p, rep, c.x, c.y, c.z)
     return ProjPoint(p, 0, 1) if key == p else ProjPoint(p, 1, key)
+
+
+@lru_cache(maxsize=None)
+def proj_table(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The projective route's table for p, built once on ints: (keys, pos),
+    where keys[i] is the key of the i-th point of the sorted conic under
+    conic_to_proj, with its rank-one check, and pos[key] the position of the
+    conic point with that key."""
+    rep = two_square_rep(p)
+    keys = tuple(_proj_key(p, rep, c.x, c.y, c.z) for c in conic_points(p))
+    pos = [-1] * (p + 1)
+    for i, key in enumerate(keys):
+        pos[key] = i
+    # p+1 keys in range(p+1): injective exactly when every key is hit
+    if -1 in pos:
+        raise InternalInvariantViolation("conic -> P^1 map is not injective")
+    return keys, tuple(pos)
+
+
+def _act(p: int, matrix: tuple[int, int, int, int], keys, pos) -> tuple[int, ...]:
+    """The right standard action <x,y> * A = <a1 x + a3 y, a2 x + a4 y> of
+    A = (a1, a2, a3, a4), entries in [0, p), on the P^1(F_p) points with int
+    keys keys[i]: image i is pos[key of keys[i] * A]."""
+    a1, a2, a3, a4 = matrix
+    if (a1 * a4 - a2 * a3) % p == 0:
+        raise SingularMatrix("projective action needs an invertible matrix")
+    inv = inv_table(p)
+    # <1,key> goes to <a1 + a3 key, a2 + a4 key> = <1, (a2 + a4 key) / (a1 + a3 key)>
+    images = [pos[(a2 + a4 * key) * inv[(a1 + a3 * key) % p] % p] for key in keys]
+    # two points leave the chart that formula reads: <0,1> (key p), which goes
+    # to <a3, a4>, and the <1,key> with a1 + a3 key = 0, which goes to <0,1>;
+    # with a3 = 0 the second does not exist (a1 != 0, since det A != 0)
+    if a3:
+        inv_a3 = inv[a3]
+        images[pos[p]] = pos[a4 * inv_a3 % p]
+        images[pos[-a1 * inv_a3 % p]] = pos[p]
+    else:
+        images[pos[p]] = pos[p]
+    return tuple(images)
 
 
 def pgl2_act(pt: ProjPoint, A: FpMat2) -> ProjPoint:

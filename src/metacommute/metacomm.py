@@ -12,7 +12,6 @@ All three agree; the verification sweeps check that exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm
 
@@ -21,23 +20,17 @@ from metacommute.errors import (
     DomainError,
     InternalInvariantViolation,
     ScaleLimit,
-    SingularMatrix,
 )
 from metacommute.geometry import (
     ConicPoint,
+    _act,
     _conjugate,
-    _proj_key,
     conic_points,
     conic_to_prime,
+    proj_table,
     trace_zero_rep,
 )
-from metacommute.modp import (
-    TwoSquareRep,
-    _legendre,
-    _phi_entries,
-    inv_table,
-    two_square_rep,
-)
+from metacommute.modp import _legendre, _phi_entries, two_square_rep
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
@@ -128,57 +121,6 @@ def meta_conj(P: PrimeClass, Q: HurwitzInt) -> PrimeClass:
     return conic_to_prime(ConicPoint.normalized(p, x, y, z))
 
 
-@dataclass(frozen=True, slots=True)
-class ProjTable:
-    """Per-p data of the projective route, with P^1(F_p) points as int keys:
-    <1,m> is m and <0,1> is p.
-
-    keys[i] is the key of the i-th point of the sorted conic under
-    conic_to_proj, and pos[key] the position of the conic point with that key.
-    """
-
-    rep: TwoSquareRep
-    keys: tuple[int, ...]
-    pos: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def proj_table(p: int) -> ProjTable:
-    """The projective route's table for p, built once on ints: each conic
-    point's key, with conic_to_proj's rank-one check, exactly once."""
-    rep = two_square_rep(p)
-    keys = tuple(_proj_key(p, rep, c.x, c.y, c.z) for c in conic_points(p))
-    pos = [-1] * (p + 1)
-    for i, key in enumerate(keys):
-        pos[key] = i
-    # p+1 keys in range(p+1): injective exactly when every key is hit
-    if -1 in pos:
-        raise InternalInvariantViolation("conic -> P^1 map is not injective")
-    return ProjTable(rep, keys, tuple(pos))
-
-
-def _act(p: int, matrix: tuple[int, int, int, int], keys, pos) -> tuple[int, ...]:
-    """The right standard action <x,y> * A = <a1 x + a3 y, a2 x + a4 y> of
-    A = (a1, a2, a3, a4), entries in [0, p), on the P^1(F_p) points with int
-    keys keys[i]: image i is pos[key of keys[i] * A]."""
-    a1, a2, a3, a4 = matrix
-    if (a1 * a4 - a2 * a3) % p == 0:
-        raise SingularMatrix("projective action needs an invertible matrix")
-    inv = inv_table(p)
-    # <1,key> goes to <a1 + a3 key, a2 + a4 key> = <1, (a2 + a4 key) / (a1 + a3 key)>
-    images = [pos[(a2 + a4 * key) * inv[(a1 + a3 * key) % p] % p] for key in keys]
-    # two points leave the chart that formula reads: <0,1> (key p), which goes
-    # to <a3, a4>, and the <1,key> with a1 + a3 key = 0, which goes to <0,1>;
-    # with a3 = 0 the second does not exist (a1 != 0, since det A != 0)
-    if a3:
-        inv_a3 = inv[a3]
-        images[pos[p]] = pos[a4 * inv_a3 % p]
-        images[pos[-a1 * inv_a3 % p]] = pos[p]
-    else:
-        images[pos[p]] = pos[p]
-    return tuple(images)
-
-
 def meta_permutation(query: MetaQuery) -> Permutation:
     """The full permutation of the p+1 conic points induced by Q, computed
     through the right standard action on P^1(F_p).
@@ -188,10 +130,11 @@ def meta_permutation(query: MetaQuery) -> Permutation:
     point.
     """
     p = query.p
-    table = proj_table(p)
+    keys, pos = proj_table(p)
+    rep = two_square_rep(p)
     # the doubled coordinates give the matrix of 2Q, which acts as Q does
-    matrix = _phi_entries(p, table.rep.a, table.rep.b, *query.Q.coeffs)
-    return Permutation(p=p, images=_act(p, matrix, table.keys, table.pos))
+    matrix = _phi_entries(p, rep.a, rep.b, *query.Q.coeffs)
+    return Permutation(p=p, images=_act(p, matrix, keys, pos))
 
 
 def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
@@ -292,8 +235,8 @@ def order_count(k: int, p: int) -> int:
     """Number of elements of order k > 1 in the projective group on p+1
     points: phi(k) p(p-1)/2 for k | p+1, plus phi(k) p(p+1)/2 for k | p-1
     (both branches apply at k = 2), and p^2 - 1 for k = p."""
-    if k <= 1:
-        raise DomainError("order_count is defined for k > 1")
+    if not isinstance(k, int) or k <= 1:
+        raise DomainError(f"order_count is defined for k > 1, an int, got {k!r}")
     _require_odd_prime(p)
     total = 0
     if (p + 1) % k == 0:

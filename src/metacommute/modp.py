@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from metacommute.errors import ModulusMismatch, ScaleLimit, SingularMatrix
+from metacommute.errors import ModulusMismatch, ScaleLimit
 from metacommute.quatcore import _P_MAX, HurwitzInt, _require_odd_prime
 
 
@@ -83,16 +83,6 @@ class QuotQuat:
     def trace(self) -> int:
         return (2 * self.c1) % self.p
 
-    def inverse(self) -> "QuotQuat":
-        n = self.norm()
-        if n == 0:
-            raise SingularMatrix("quaternion with norm 0 mod p has no inverse")
-        return self.conjugate().scale(pow(n, -1, self.p))
-
-    def is_central(self) -> bool:
-        """True iff the value lies in F_p (zero i, j, k coordinates)."""
-        return self.ci == 0 and self.cj == 0 and self.ck == 0
-
 
 def reduce_mod(h: HurwitzInt, p: int) -> QuotQuat:
     """Reduction mod p: a ring homomorphism from the Hurwitz order.
@@ -121,10 +111,10 @@ def _require_table_p(p: int) -> None:
     _require_odd_prime(p)
 
 
-@lru_cache(maxsize=None)
 def sqrt_table(p: int) -> tuple[int, ...]:
     """For each residue t mod p, its least square root r >= 0, or -1 when t
-    is not a square mod p."""
+    is not a square mod p. Not cached: its callers conic_points and
+    two_square_rep are, and a cache here would keep every table alive."""
     _require_table_p(p)
     roots = [-1] * p
     # r and p - r share a square, so the least roots are 0 .. (p-1)/2, and
@@ -200,18 +190,6 @@ class FpMat2:
 
     def trace(self) -> int:
         return (self.a1 + self.a4) % self.p
-
-    def inverse(self) -> "FpMat2":
-        d = self.det()
-        if d == 0:
-            raise SingularMatrix("matrix with det 0 has no inverse")
-        dinv = pow(d, -1, self.p)
-        return FpMat2(self.p, dinv * self.a4, -dinv * self.a2,
-                      -dinv * self.a3, dinv * self.a1)
-
-    @classmethod
-    def identity(cls, p: int) -> "FpMat2":
-        return cls(p, 1, 0, 0, 1)
 
 
 def _phi_entries(

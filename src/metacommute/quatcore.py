@@ -31,7 +31,8 @@ from metacommute.errors import (
 
 # primes_of_norm walks the norm-p solutions in a cone, O(p^1.5) loop steps,
 # and runs canonical_min only on those on its boundary: about 0.035 s cold
-# at p = 4999 (Python 3.11, one core)
+# at p = 4999 (Python 3.11, one core). elements_of_norm, O(n^1.5) steps with
+# no cone, stops at the same bound: 0.5 s at n = 4999, 14 s at n = 50,021
 _PRIMES_MAX_P = 5000
 
 # the largest p of any per-p build outside primes_of_norm, held by the O(p)
@@ -263,8 +264,8 @@ def _miller_rabin(n: int) -> bool:
 def _require_odd_prime(p: int) -> None:
     """The package's one odd-prime guard: the mod-p machinery needs p odd and
     prime, because 2 must be invertible and the conic must not degenerate."""
-    if p == 2 or not _is_rational_prime(p):
-        raise UnsupportedPrime(f"expected an odd rational prime, got {p}")
+    if not isinstance(p, int) or p == 2 or not _is_rational_prime(p):
+        raise UnsupportedPrime(f"expected an odd rational prime, got {p!r}")
 
 
 def _norm_p_factor(h: tuple[int, int, int, int], p: int) -> tuple[int, int, int, int]:
@@ -353,8 +354,10 @@ def _norm_solutions(n: int) -> Iterator[tuple[int, int, int, int]]:
 @lru_cache(maxsize=None)
 def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
     """All Hurwitz integers of norm n, lexicographically sorted."""
-    if n < 0:
-        raise DomainError("norm is non-negative")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"norm is a non-negative int, got {n!r}")
+    if n > _PRIMES_MAX_P:
+        raise ScaleLimit(f"elements of norm n are enumerated only for n <= {_PRIMES_MAX_P}")
     return tuple(HurwitzInt._wrap(t) for t in _norm_solutions(n))
 
 

@@ -285,7 +285,7 @@ def test_action_formula_on_one_m():
 
 def test_identity_fixes_everything():
     for p in ODD_PRIMES:
-        A = FpMat2.identity(p)
+        A = FpMat2(p, 1, 0, 0, 1)
         for pt in [ProjPoint(p, 0, 1)] + [ProjPoint(p, 1, m) for m in range(p)]:
             assert pgl2_act(pt, A) == pt
 
@@ -326,7 +326,7 @@ def test_equivariance_of_conjugation_and_right_action():
             A = phi(g, rep)
             for c in conic_points(p):
                 m = phi(QuotQuat(p, 0, c.x, c.y, c.z), rep)
-                conj = A.inverse() * m * A
+                conj = phi(g.conjugate(), rep) * m * A
                 # read the conjugated matrix back as a conic point
                 gamma = phi_inv(conj, rep)
                 assert gamma.c1 == 0

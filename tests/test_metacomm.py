@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from metacommute import metacomm, modp
+from metacommute import geometry, metacomm, modp
 from metacommute.errors import (
     CoprimalityError,
     DomainError,
@@ -22,16 +22,17 @@ from metacommute.errors import (
 from metacommute.geometry import (
     ConicPoint,
     ProjPoint,
+    _act,
     conic_points,
     conic_to_prime,
     conic_to_proj,
     pgl2_act,
+    proj_table,
     trace_zero_rep,
 )
 from metacommute.metacomm import (
     MetaQuery,
     Permutation,
-    _act,
     analyze,
     cycle_decomposition,
     meta_conj,
@@ -40,7 +41,6 @@ from metacommute.metacomm import (
     order_count,
     pgl2_order_census,
     predict,
-    proj_table,
 )
 from metacommute.modp import (
     FpMat2,
@@ -77,7 +77,7 @@ def images_of(p, Q):
 
 def test_central_flag_matches_the_reduction_on_the_sweep():
     for p, Q in sweep_queries(13, 13):
-        assert MetaQuery.create(p, Q).central == reduce_mod(Q, p).is_central()
+        assert MetaQuery.create(p, Q).central == (reduce_mod(Q, p).coords[1:] == (0, 0, 0))
 
 
 def _seeded_queries(p, rng, count=60):
@@ -112,7 +112,7 @@ def test_central_flag_matches_the_reduction_at_large_p(p):
     centrals = 0
     for Q in queries:
         central = MetaQuery.create(p, Q).central
-        assert central == reduce_mod(Q, p).is_central()
+        assert central == (reduce_mod(Q, p).coords[1:] == (0, 0, 0))
         centrals += central
     assert 0 < centrals < len(queries)
 
@@ -184,7 +184,7 @@ def test_q_one_is_identity():
 
 def test_central_q_fixes_every_class():
     # 2+3i reduces to the scalar 2 mod 3
-    assert reduce_mod(TWO_PLUS_3I, 3).is_central()
+    assert reduce_mod(TWO_PLUS_3I, 3).coords[1:] == (0, 0, 0)
     for P in primes_of_norm(3):
         assert meta_divide(P, TWO_PLUS_3I) == P
         assert meta_conj(P, TWO_PLUS_3I) == P
@@ -392,8 +392,8 @@ def test_table_route_matches_reference_on_the_sweep():
 
 @pytest.mark.parametrize("p", [101, 499])
 def test_table_route_matches_reference_at_large_p(p):
-    table = proj_table(p)
-    assert sorted(table.keys) == list(range(p + 1))  # <0,1> has key p
+    keys, _ = proj_table(p)
+    assert sorted(keys) == list(range(p + 1))  # <0,1> has key p
     assert all(x * inv_table(p)[x] % p == 1 for x in range(1, p))
     rng = random.Random(p)
     for _ in range(6):
@@ -450,7 +450,8 @@ def test_proj_table_keys_match_the_phi_matrices_below_500():
             assert m == FpMat2(p, x * a + z * b, y + z * a - x * b,
                                -y + z * a - x * b, -x * a - z * b), (p, c)
             keys.append(_key_of(m))
-        assert proj_table(p).keys == tuple(keys), p
+        table_keys, _ = proj_table(p)
+        assert table_keys == tuple(keys), p
 
 
 def test_key_build_rejects_a_rep_that_does_not_split(monkeypatch):
@@ -458,7 +459,7 @@ def test_key_build_rejects_a_rep_that_does_not_split(monkeypatch):
     bad = TwoSquareRep(13, 0, 0)
     with pytest.raises(InternalInvariantViolation):
         conic_to_proj(conic_points(13)[0], bad)
-    monkeypatch.setattr(metacomm, "two_square_rep", lambda p: bad)
+    monkeypatch.setattr(geometry, "two_square_rep", lambda p: bad)
     with pytest.raises(InternalInvariantViolation):
         proj_table.__wrapped__(13)
 
@@ -613,6 +614,29 @@ def test_a_query_runs_the_odd_prime_guard_once(monkeypatch):
     with pytest.raises(UnsupportedPrime):
         legendre(2, 9)
     assert calls == [5, 9]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: metacomm._require_odd_prime(7.0),
+    lambda: MetaQuery.create(7.0, ONE_PLUS_I),
+    lambda: primes_of_norm(3.0),
+    lambda: pgl2_order_census(5.0),
+    lambda: legendre(2, 7.0),
+    lambda: reduce_mod(ONE_PLUS_I, 7.0),
+    lambda: order_count(2, 7.0),
+    lambda: order_count(2, "7"),
+], ids=["guard", "MetaQuery.create", "primes_of_norm", "pgl2_order_census",
+        "legendre", "reduce_mod", "order_count", "order_count_str"])
+def test_a_p_that_is_not_an_int_is_an_unsupported_prime(call):
+    primes_of_norm(3)  # 3.0 must not be answered from the entry of 3
+    with pytest.raises(UnsupportedPrime, match="odd rational prime"):
+        call()
+
+
+@pytest.mark.parametrize("k", [2.0, 4.0, "2"])
+def test_order_count_rejects_a_k_that_is_not_an_int(k):
+    with pytest.raises(DomainError, match="defined for k > 1, an int"):
+        order_count(k, 7)
 
 
 def test_predict_matches_analyze_for_every_composite_norm():

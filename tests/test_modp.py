@@ -1,12 +1,13 @@
 """Quotient algebra mod p: reduction, the two-square representation, the
 matrix splitting and the Legendre symbol."""
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metacommute.errors import ModulusMismatch, SingularMatrix, UnsupportedPrime
+from metacommute.errors import ModulusMismatch, UnsupportedPrime
 from metacommute.modp import (
     FpMat2,
     QuotQuat,
@@ -123,6 +124,21 @@ def test_inv_table_matches_pow(p):
         assert table[x] == pow(x, -1, p), (p, x)
 
 
+def test_a_cold_two_square_rep_keeps_no_table():
+    # sqrt_table is not cached, so its O(p) table is garbage once
+    # two_square_rep has read it. 99,989 is a prime no other test builds, so
+    # no earlier build can have kept its table already
+    p = 99_989
+    tracemalloc.start()
+    try:
+        rep = two_square_rep.__wrapped__(p)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.a * rep.a + rep.b * rep.b + 1) % p == 0
+    assert kept < 64 * 1024
+
+
 def test_sqrt_table_rejects_p_two():
     with pytest.raises(UnsupportedPrime):
         sqrt_table(2)
@@ -133,7 +149,7 @@ def test_sqrt_table_rejects_p_two():
 def test_phi_of_one_is_identity():
     for p in ODD_PRIMES:
         rep = two_square_rep(p)
-        assert phi(QuotQuat(p, 1, 0, 0, 0), rep) == FpMat2.identity(p)
+        assert phi(QuotQuat(p, 1, 0, 0, 0), rep) == FpMat2(p, 1, 0, 0, 1)
 
 
 def test_phi_of_j():
@@ -215,7 +231,7 @@ def test_phi_is_a_homomorphism_for_any_small_prime(case):
 def test_phi_inv_displays():
     for p in ODD_PRIMES:
         rep = two_square_rep(p)
-        assert phi_inv(FpMat2.identity(p), rep) == QuotQuat(p, 1, 0, 0, 0)
+        assert phi_inv(FpMat2(p, 1, 0, 0, 1), rep) == QuotQuat(p, 1, 0, 0, 0)
         assert phi_inv(FpMat2(p, 0, 1, -1, 0), rep) == QuotQuat(p, 0, 0, 1, 0)
 
 
@@ -223,47 +239,18 @@ def test_phi_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
         phi(QuotQuat(3, 1, 0, 0, 0), two_square_rep(5))
     with pytest.raises(ModulusMismatch):
-        phi_inv(FpMat2.identity(3), two_square_rep(5))
+        phi_inv(FpMat2(3, 1, 0, 0, 1), two_square_rep(5))
 
 
 # ----------------------------------------------------------------- matrix ops
-
-def test_mat2_identity_inverse():
-    assert FpMat2.identity(7).inverse() == FpMat2.identity(7)
-
 
 def test_mat2_det_example():
     assert FpMat2(5, 1, -2, -2, 1).det() == 2  # 1 - 4 = -3 = 2 mod 5
 
 
-def test_mat2_inverse_property():
-    rng = random.Random(53)
-    for p in ODD_PRIMES:
-        for _ in range(100):
-            m = FpMat2(p, *(rng.randrange(p) for _ in range(4)))
-            if m.det() == 0:
-                with pytest.raises(SingularMatrix):
-                    m.inverse()
-                continue
-            assert m.inverse() * m == FpMat2.identity(p)
-
-
 def test_mat2_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
-        FpMat2.identity(3) * FpMat2.identity(5)
-
-
-def test_quotquat_inverse_and_singular():
-    rng = random.Random(59)
-    for p in ODD_PRIMES:
-        one = QuotQuat(p, 1, 0, 0, 0)
-        for _ in range(100):
-            g = rand_quot(rng, p)
-            if g.norm() == 0:
-                with pytest.raises(SingularMatrix):
-                    g.inverse()
-                continue
-            assert g.inverse() * g == one
+        FpMat2(3, 1, 0, 0, 1) * FpMat2(5, 1, 0, 0, 1)
 
 
 # ------------------------------------------------------------------- legendre

@@ -29,6 +29,7 @@ from metacommute.quatcore import (
     ONE,
     HurwitzInt,
     PrimeClass,
+    _PRIMES_MAX_P,
     _TRIAL_DIVISION_BOUND,
     _cone_candidates,
     _is_rational_prime,
@@ -595,6 +596,22 @@ def test_elements_of_norm_rejects_a_negative_norm_with_a_typed_error():
     with pytest.raises(DomainError, match="non-negative") as info:
         elements_of_norm(-1)
     assert isinstance(info.value, MetacommuteError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("n", [2.0, 5.0, "4", None])
+def test_elements_of_norm_rejects_a_norm_that_is_not_an_int(n):
+    elements_of_norm(2)  # 2.0 must not be answered from the entry of 2
+    with pytest.raises(DomainError, match="non-negative int"):
+        elements_of_norm(n)
+
+
+def test_elements_of_norm_stops_at_the_enumeration_bound():
+    # the bound of primes_of_norm and verify --q-max; above it the walk
+    # grows as n^1.5 and caches every value it finds
+    with pytest.raises(ScaleLimit):
+        elements_of_norm(_PRIMES_MAX_P + 1)
+    with pytest.raises(ScaleLimit):
+        elements_of_norm(50_021)
 
 
 def test_prime_class_accepts_exactly_the_canonical_rep_of_a_prime_norm():
