@@ -106,7 +106,7 @@ class TwoSquareRep:
 
 def _require_table_p(p: int) -> None:
     """The guard of the O(p) tables under every per-p build, before they allocate."""
-    if p > _P_MAX:
+    if isinstance(p, int) and p > _P_MAX:
         raise ScaleLimit(f"tables mod p are built only for p <= {_P_MAX}")
     _require_odd_prime(p)
 

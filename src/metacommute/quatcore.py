@@ -29,10 +29,11 @@ from metacommute.errors import (
     ZeroInput,
 )
 
-# primes_of_norm walks the norm-p solutions in a cone, O(p^1.5) loop steps,
-# and runs canonical_min only on those on its boundary: about 0.035 s cold
-# at p = 4999 (Python 3.11, one core). elements_of_norm, O(n^1.5) steps with
-# no cone, stops at the same bound: 0.5 s at n = 4999, 14 s at n = 50,021
+# primes_of_norm and elements_of_norm share one walk of the canonical-rep
+# cone, O(n^1.5) loop steps. Cold at n = 4999 (Python 3.11, one core)
+# primes_of_norm takes about 0.035 s, and elements_of_norm, which multiplies
+# each rep by the 24 units and sorts, 0.3 s; at n = 50,021 it would take 5 s
+# and keep 1.2 million elements, about 290 MB, in its cache
 _PRIMES_MAX_P = 5000
 
 # the largest p of any per-p build outside primes_of_norm, held by the O(p)
@@ -329,50 +330,21 @@ class PrimeClass:
 _set_class_rep, _set_class_p = _slot_setters(PrimeClass)
 
 
-def _norm_solutions(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """All doubled-coordinate quadruples of norm n (A^2+B^2+C^2+D^2 = 4n,
-    equal parity), in lexicographic order."""
-    target = 4 * n
-    lim = isqrt(target)
-    for A in range(-lim, lim + 1):
-        ra = target - A * A
-        lb = isqrt(ra)
-        # B and C step by 2 from the first value with A's parity
-        for B in range(-lb + ((A ^ lb) & 1), lb + 1, 2):
-            rb = ra - B * B
-            lc = isqrt(rb)
-            for C in range(-lc + ((A ^ lc) & 1), lc + 1, 2):
-                rc = rb - C * C
-                D = isqrt(rc)
-                if D * D != rc or (A ^ D) & 1:
-                    continue
-                if D > 0:
-                    yield (A, B, C, -D)
-                yield (A, B, C, D)
-
-
-@lru_cache(maxsize=None)
-def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
-    """All Hurwitz integers of norm n, lexicographically sorted."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"norm is a non-negative int, got {n!r}")
-    if n > _PRIMES_MAX_P:
-        raise ScaleLimit(f"elements of norm n are enumerated only for n <= {_PRIMES_MAX_P}")
-    return tuple(HurwitzInt._wrap(t) for t in _norm_solutions(n))
-
-
-def _cone_candidates(p: int) -> Iterator[tuple[int, int, int, int]]:
-    """The doubled-coordinate quadruples of norm p with -A >= |B| + |C| + |D|,
-    in lexicographic order.
+def _canonical_reps(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """The canonical rep of each left-unit orbit of norm n >= 1, in
+    doubled coordinates and lexicographic order.
 
     The first doubled coordinate of u * t runs, over the 24 units u, through
     +-A, +-B, +-C, +-D and (+-A +-B +-C +-D)/2. So t is the least of its
     left orbit only if -A >= |B| + |C| + |D|; that cone forces A < 0 and
-    A^2 >= 4p - A^2, i.e. A^2 >= 2p.
+    A^2 >= 4n - A^2, i.e. A^2 >= 2n. Strictly inside the cone, A is the
+    strict least of the 24 first coordinates, which only u = 1 attains, so
+    the point is canonical; only a point on the boundary needs canonical_min,
+    which keeps exactly one member of each orbit there, ties included.
     """
-    target = 4 * p
-    # 2p is never a square, so the least |A| with A^2 >= 2p is isqrt(2p) + 1
-    for A in range(-isqrt(target), -isqrt(2 * p)):
+    target = 4 * n
+    # the least |A| with A^2 >= 2n; 2n is a square when n = 2k^2
+    for A in range(-isqrt(target), -isqrt(2 * n - 1)):
         ra = target - A * A
         lb = min(isqrt(ra), -A)
         # B and C step by 2 from the first value with A's parity
@@ -383,28 +355,41 @@ def _cone_candidates(p: int) -> Iterator[tuple[int, int, int, int]]:
             for C in range(-lc + ((A ^ lc) & 1), lc + 1, 2):
                 rc = rb - C * C
                 D = isqrt(rc)
-                if D * D != rc or (A ^ D) & 1 or D > slack_b - abs(C):
+                if D * D != rc or (A ^ D) & 1:
                     continue
-                if D > 0:
-                    yield (A, B, C, -D)
-                yield (A, B, C, D)
+                slack = slack_b - abs(C)
+                if D > slack:
+                    continue
+                for t in ((A, B, C, -D), (A, B, C, D)) if D else ((A, B, C, 0),):
+                    if D < slack or _kernels.canonical_min(t) == t:
+                        yield t
+
+
+@lru_cache(maxsize=None)
+def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
+    """All Hurwitz integers of norm n, lexicographically sorted."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"norm is a non-negative int, got {n!r}")
+    if n > _PRIMES_MAX_P:
+        raise ScaleLimit(f"elements of norm n are enumerated only for n <= {_PRIMES_MAX_P}")
+    if n == 0:
+        return (HurwitzInt._wrap((0, 0, 0, 0)),)
+    # the units act freely on the nonzero elements: each is u * t for one
+    # unit u and one canonical rep t
+    mul = _kernels.mul
+    return tuple(
+        HurwitzInt._wrap(h)
+        for h in sorted(mul(u, t) for t in _canonical_reps(n) for u in _kernels._UNITS)
+    )
 
 
 @lru_cache(maxsize=None)
 def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     """The p+1 left-associate classes of Hurwitz primes of odd prime norm p,
     sorted lexicographically by canonical representative."""
-    if p > _PRIMES_MAX_P:
+    # the size bound runs before the primality test, which is slow far above
+    # it; a p that is not an int falls through to the guard
+    if isinstance(p, int) and p > _PRIMES_MAX_P:
         raise ScaleLimit(f"prime classes are enumerated only for p <= {_PRIMES_MAX_P}")
     _require_odd_prime(p)
-    # every canonical rep lies in the cone, and canonical_min keeps exactly
-    # one member of each orbit there, ties included. Strictly inside it,
-    # -A > |B| + |C| + |D| makes A the strict least of the 24 first
-    # coordinates, which only u = 1 attains, so the candidate is canonical
-    # and only the boundary needs canonical_min. The cone is walked in
-    # lexicographic order, so the classes come out sorted
-    return tuple(
-        PrimeClass._unchecked(HurwitzInt._wrap(t), p)
-        for t in _cone_candidates(p)
-        if -t[0] > abs(t[1]) + abs(t[2]) + abs(t[3]) or _kernels.canonical_min(t) == t
-    )
+    return tuple(PrimeClass._unchecked(HurwitzInt._wrap(t), p) for t in _canonical_reps(p))

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from metacommute._kernels import mul, norm
-from metacommute.errors import ScaleLimit
+from metacommute.errors import DomainError, ScaleLimit
 from metacommute.geometry import conic_points, conic_to_prime, trace_zero_rep
 from metacommute.metacomm import (
     _CENSUS_MAX_P,
@@ -91,8 +91,10 @@ def sweep_queries(p_max: int, q_max: int):
 
 
 def _bound(flag: str, value: int, limit: int, what: str) -> None:
-    """Reject a scope flag beyond the limit of the per-p or per-q build it
-    drives, before any prime is listed."""
+    """Reject a scope flag that is not an int, or beyond the limit of the
+    per-p or per-q build it drives, before any prime is listed."""
+    if not isinstance(value, int):
+        raise DomainError(f"{flag} is an int, got {value!r}")
     if value > limit:
         raise ScaleLimit(f"{what} only for {flag} <= {limit}")
 

@@ -625,8 +625,14 @@ def test_a_query_runs_the_odd_prime_guard_once(monkeypatch):
     lambda: reduce_mod(ONE_PLUS_I, 7.0),
     lambda: order_count(2, 7.0),
     lambda: order_count(2, "7"),
+    # the size bound runs before the guard and must not compare a str with an int
+    lambda: primes_of_norm("7"),
+    lambda: conic_points("7"),
+    lambda: two_square_rep("7"),
+    lambda: inv_table("7"),
 ], ids=["guard", "MetaQuery.create", "primes_of_norm", "pgl2_order_census",
-        "legendre", "reduce_mod", "order_count", "order_count_str"])
+        "legendre", "reduce_mod", "order_count", "order_count_str", "primes_of_norm_str",
+        "conic_points_str", "two_square_rep_str", "inv_table_str"])
 def test_a_p_that_is_not_an_int_is_an_unsupported_prime(call):
     primes_of_norm(3)  # 3.0 must not be answered from the entry of 3
     with pytest.raises(UnsupportedPrime, match="odd rational prime"):

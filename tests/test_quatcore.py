@@ -31,10 +31,9 @@ from metacommute.quatcore import (
     PrimeClass,
     _PRIMES_MAX_P,
     _TRIAL_DIVISION_BOUND,
-    _cone_candidates,
+    _canonical_reps,
     _is_rational_prime,
     _miller_rabin,
-    _norm_solutions,
     canonical_rep,
     elements_of_norm,
     gcrd,
@@ -404,12 +403,35 @@ def test_primes_of_norm_counts_and_reps(p, count):
         assert canonical_rep(P.rep) == P.rep
 
 
+def _sphere_walk(n):
+    """Reference: all doubled-coordinate quadruples of norm n (A^2 + B^2 +
+    C^2 + D^2 = 4n, equal parity), in lexicographic order, by a walk over
+    the whole sphere that knows nothing of units or cones."""
+    target = 4 * n
+    lim = isqrt(target)
+    for A in range(-lim, lim + 1):
+        ra = target - A * A
+        lb = isqrt(ra)
+        # B and C step by 2 from the first value with A's parity
+        for B in range(-lb + ((A ^ lb) & 1), lb + 1, 2):
+            rb = ra - B * B
+            lc = isqrt(rb)
+            for C in range(-lc + ((A ^ lc) & 1), lc + 1, 2):
+                rc = rb - C * C
+                D = isqrt(rc)
+                if D * D != rc or (A ^ D) & 1:
+                    continue
+                if D > 0:
+                    yield (A, B, C, -D)
+                yield (A, B, C, D)
+
+
 def _orbit_minimum_classes(p):
     """Reference: the least element of each left-unit orbit of the norm-p
     solutions, sorted."""
     us = [u.coeffs for u in units()]
     seen, reps = set(), []
-    for t in _norm_solutions(p):
+    for t in _sphere_walk(p):
         if t in seen:
             continue
         orbit = {_kernels.mul(u, t) for u in us}
@@ -435,7 +457,7 @@ def test_primes_of_norm_matches_the_orbit_minimum_at_large_p(p, deadline):
 
 def test_the_cone_holds_ties_that_canonical_min_resolves():
     p = 101
-    cone = list(_cone_candidates(p))
+    cone = list(_unstepped_cone_candidates(p))
     # more candidates than classes, so the canonical_min filter does work
     assert len(cone) > p + 1
     assert cone == sorted(cone)
@@ -445,11 +467,13 @@ def test_the_cone_holds_ties_that_canonical_min_resolves():
     assert {P.rep.coeffs for P in primes_of_norm(p)} <= set(cone)
 
 
-def _unstepped_cone_candidates(p):
-    """Reference: the cone walk that visits every B and C and skips those
-    whose parity differs from A's."""
-    target = 4 * p
-    for A in range(-isqrt(target), -isqrt(2 * p)):
+def _unstepped_cone_candidates(n):
+    """Reference: the quadruples of norm n with -A >= |B| + |C| + |D|, in
+    lexicographic order, by a cone walk that visits every B and C and skips
+    those whose parity differs from A's."""
+    target = 4 * n
+    # A^2 >= 2n in the cone, and A = -sqrt(2n) when n = 2k^2
+    for A in range(-isqrt(target), -isqrt(2 * n - 1)):
         ra = target - A * A
         lb = min(isqrt(ra), -A)
         for B in range(-lb, lb + 1):
@@ -471,19 +495,21 @@ def _unstepped_cone_candidates(p):
 
 
 def test_the_parity_stepped_cone_walk_matches_the_unstepped_walk():
-    for p in odd_primes_up_to(1000) + [4993, 4999]:
-        assert list(_cone_candidates(p)) == list(_unstepped_cone_candidates(p)), p
+    # the walk's canonical reps are the cone points canonical_min keeps;
+    # composite n and n = 2k^2, where the cone's tip is A = -sqrt(2n), too
+    composite = list(range(1, 301)) + [2 * k * k for k in range(13, 51)] + [4096, 4900]
+    for n in odd_primes_up_to(1000) + [4993, 4999] + composite:
+        want = [t for t in _unstepped_cone_candidates(n) if _kernels.canonical_min(t) == t]
+        assert list(_canonical_reps(n)) == want, n
 
 
 def test_every_interior_cone_candidate_is_canonical():
-    # primes_of_norm skips canonical_min strictly inside the cone, where A is
-    # the strict least of the 24 first coordinates
-    for p in range(3, 500, 2):
-        if not _is_rational_prime(p):
-            continue
-        for A, B, C, D in _cone_candidates(p):
+    # the walk skips canonical_min strictly inside the cone, where A is the
+    # strict least of the 24 first coordinates
+    for n in range(1, 500):
+        for A, B, C, D in _unstepped_cone_candidates(n):
             if -A > abs(B) + abs(C) + abs(D):
-                assert _kernels.canonical_min((A, B, C, D)) == (A, B, C, D), p
+                assert _kernels.canonical_min((A, B, C, D)) == (A, B, C, D), n
 
 
 @pytest.mark.parametrize("p", [5003, 2 ** 61 - 1])
@@ -637,8 +663,19 @@ def test_prime_class_accepts_exactly_the_canonical_rep_of_a_prime_norm():
 
 
 def test_elements_of_norm_mass():
-    # 24 * (sum of odd divisors of n) lattice points of norm n
-    assert len(elements_of_norm(1)) == 24
-    assert len(elements_of_norm(2)) == 24
-    for p in (3, 5, 7, 11, 13):
-        assert len(elements_of_norm(p)) == 24 * (p + 1)
+    # 24 * (sum of odd divisors of n) lattice points of norm n; uncached,
+    # so the test keeps none of the 890,424 elements alive
+    for n in range(1, 301):
+        odd_divisors = sum(d for d in range(1, n + 1, 2) if n % d == 0)
+        assert len(elements_of_norm.__wrapped__(n)) == 24 * odd_divisors, n
+
+
+def test_elements_of_norm_matches_the_sphere_walk_at_composite_norms():
+    # above the brute-force test's n <= 40: composite n, stepped to keep the
+    # reference walk short, and every n = 2k^2 up to 450, where a rep of the
+    # least |A| sits on the cone's tip A = -sqrt(2n)
+    norms = [n for n in range(41, 451, 6) if not _is_rational_prime(n)]
+    norms += [2 * k * k for k in range(1, 16)]
+    for n in norms:
+        got = [h.coeffs for h in elements_of_norm.__wrapped__(n)]
+        assert got == list(_sphere_walk(n)), n

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from metacommute import _kernels, verify
-from metacommute.errors import ScaleLimit
+from metacommute.errors import DomainError, ScaleLimit
 from metacommute.metacomm import MetaQuery, Permutation, meta_conj, meta_permutation
 from metacommute.quatcore import HurwitzInt, PrimeClass, _norm_p_factor, primes_of_norm
 
@@ -33,6 +33,22 @@ def _wrong_norm(cls, p, Q):
     # the q that the product identity N(Q') = q is checked against
     query = _create(p, Q)
     return dataclasses.replace(query, q=query.q + 1)
+
+
+@pytest.mark.parametrize("call,flag", [
+    (lambda: verify.verify_signs(5.0, 5), "p_max"),
+    (lambda: verify.verify_signs("5", 5), "p_max"),
+    (lambda: verify.verify_fixed(5, 5.0), "q_max"),
+    (lambda: verify.verify_cycles(5.0, 5), "p_max"),
+    (lambda: verify.verify_oracle(5, 5.5), "q_max"),
+    (lambda: verify.verify_counting(5.0), "p_max"),
+    (lambda: verify.verify_phi(5.0), "p_max"),
+    (lambda: verify.verify_orders(5.0), "p_max"),
+], ids=["signs", "signs_str", "fixed", "cycles", "oracle", "counting", "phi", "orders"])
+def test_a_scope_bound_that_is_not_an_int_is_a_domain_error(call, flag):
+    # a float or str must not reach range(), where it is a bare TypeError
+    with pytest.raises(DomainError, match=f"^{flag} is an int, got "):
+        call()
 
 
 def test_the_sweep_size_is_the_oracle_case_count():
