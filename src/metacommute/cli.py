@@ -11,6 +11,7 @@ Exit codes: 0 success / everything verified, 1 verification failures,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -41,8 +42,9 @@ from metacommute.quatcore import (
     primes_of_norm,
 )
 
-# the largest |doubled coordinate| of a --Q literal; it bounds the work one
-# literal can cause, such as the primality test of N(Q)
+# the largest |doubled coordinate| of a --Q literal: it keeps N(Q) <= 2^28,
+# so the coprimality gcd, predict's Legendre symbols and the reduction mod p
+# work on small ints
 _COORD_LIMIT = 1 << 14
 
 
@@ -198,23 +200,19 @@ def cmd_orders(args):
     return 0, payload, lines
 
 
-# the parameters each verify check takes; each one is a --flag of the check,
-# and the verify_<check> signature alone gives its default
-_VERIFY_PARAMS = {
-    "signs": ("p_max", "q_max"),
-    "fixed": ("p_max", "q_max"),
-    "cycles": ("p_max", "q_max"),
-    "phi": ("p_max", "seed"),
-    "oracle": ("p_max", "q_max", "seed"),
-    "orders": ("p_max",),
-    "counting": ("p_max",),
+# each verify check's flags: the parameters of verify_<check>, whose
+# signature alone gives their defaults. They are read once, here: a wrapper
+# installed on the module later need not keep the signature.
+_VERIFY_FLAGS = {
+    check: tuple(inspect.signature(getattr(verify_mod, "verify_" + check)).parameters)
+    for check in verify_mod.CHECKS
 }
 
 
 def cmd_verify(args):
     # resolved by name on every run, so a wrapper installed on the module applies
     run = getattr(verify_mod, "verify_" + args.check)
-    given = {name: getattr(args, name) for name in _VERIFY_PARAMS[args.check]
+    given = {name: getattr(args, name) for name in _VERIFY_FLAGS[args.check]
              if hasattr(args, name)}
     report = run(**given)
     # elapsed is deliberately left out of the payload: JSON output is byte-stable
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run an exhaustive verification sweep")
     checks = sp.add_subparsers(dest="check", required=True)
-    for check, params in _VERIFY_PARAMS.items():
+    for check, params in _VERIFY_FLAGS.items():
         csp = checks.add_parser(check)
         for name in params:
             # an absent flag sets no attribute, so verify_<check> applies its default

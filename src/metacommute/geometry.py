@@ -23,11 +23,17 @@ from metacommute.modp import (
     two_square_rep,
 )
 from metacommute.quatcore import (
+    _CACHED_TABLES,
+    _PRIMES_MAX_P,
     HurwitzInt,
     PrimeClass,
     _require_odd_prime,
     _slot_setters,
 )
+
+# the per-class and per-point caches hold all p+1 of one p up to the
+# largest p whose classes are enumerated, so a pass over one p never misses
+_CACHED_POINTS = _PRIMES_MAX_P + 1
 
 
 @dataclass(frozen=True, slots=True, order=True, init=False)
@@ -83,7 +89,7 @@ class ProjPoint:
         return cls(p, 1, (y * pow(x, -1, p)) % p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_TABLES)
 def conic_points(p: int) -> tuple[ConicPoint, ...]:
     """All p+1 points of the conic, lexicographically sorted."""
     roots = sqrt_table(p)
@@ -131,7 +137,7 @@ def _conjugate(p: int, h: tuple[int, int, int, int],
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_POINTS)
 def trace_zero_rep(P: PrimeClass) -> ConicPoint:
     """The conic point of a prime class: coordinates of the unique-up-to-
     scaling trace-zero element t = ai + bj + ck of the reduced left ideal
@@ -151,11 +157,20 @@ def trace_zero_rep(P: PrimeClass) -> ConicPoint:
     return ConicPoint.normalized(p, x, y, z)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_POINTS)
 def conic_to_prime(c: ConicPoint) -> PrimeClass:
     """The prime class of a conic point: lift t = xi + yj + zk with
-    coordinates in [0, p) and take the class of gcrd(lift, p)."""
-    return PrimeClass.dividing(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), c.p)
+    coordinates in [0, p) and take the class of gcrd(lift, p).
+
+    A p that is not an odd prime, or a point that is not on the conic in
+    normal form, is a typed input error, never an internal one."""
+    p = c.p
+    _require_odd_prime(p)
+    # the lift checks that the coordinates are ints, before normalized reads them
+    lift = HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z)
+    if ConicPoint.normalized(p, c.x, c.y, c.z) != c:
+        raise DomainError(f"{c!r} is on the conic but not in normal form")
+    return PrimeClass.dividing(lift, p)
 
 
 def _proj_key(p: int, rep: TwoSquareRep, x: int, y: int, z: int) -> int:
@@ -186,7 +201,7 @@ def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:
     return ProjPoint(p, 0, 1) if key == p else ProjPoint(p, 1, key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_TABLES)
 def proj_table(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The projective route's table for p, built once on ints: (keys, pos),
     where keys[i] is the key of the i-th point of the sorted conic under

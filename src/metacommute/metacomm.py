@@ -139,31 +139,21 @@ def meta_permutation(query: MetaQuery) -> Permutation:
 
 def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
     """Cycles of a permutation given as an image array, each cycle starting
-    at its smallest element, cycles sorted by that element."""
-    seen: set[int] = set()
+    at its smallest element, cycles sorted by that element. Permutation
+    checks that images is a bijection, so every walk closes at its start."""
+    images = Permutation(len(images) - 1, tuple(images)).images
+    seen = bytearray(len(images))
     cycles = []
-    try:
-        for start in range(len(images)):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            j = images[start]
-            while j != start:
-                # a second visit to j, not closing the cycle at start, means j
-                # has two preimages
-                if j in seen:
-                    raise InternalInvariantViolation(
-                        f"images {images} are not a permutation"
-                    )
-                cycle.append(j)
-                seen.add(j)
-                j = images[j]
-            cycles.append(cycle)
-    except IndexError:
-        raise InternalInvariantViolation(
-            f"images {images} are not a permutation: an image is out of range"
-        ) from None
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        j = images[start]
+        while j != start:
+            seen[j] = 1
+            cycle.append(j)
+            j = images[j]
+        cycles.append(cycle)
     return cycles
 
 
@@ -262,8 +252,7 @@ def pgl2_order_census(p: int) -> dict[int, int]:
         a1, a2, a3, a4 = matrix
         if (a1 * a4 - a2 * a3) % p == 0:
             continue
-        images = _act(p, matrix, points, points)
-        order = lcm(*(len(c) for c in cycle_decomposition(images)))
+        order = lcm(*analyze(Permutation(p, _act(p, matrix, points, points))).cycle_lengths)
         tally[order] = tally.get(order, 0) + 1
     if sum(tally.values()) != p * (p - 1) * (p + 1):
         raise InternalInvariantViolation("census does not cover the whole group")

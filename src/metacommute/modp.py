@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from metacommute.errors import ModulusMismatch, ScaleLimit
-from metacommute.quatcore import _P_MAX, HurwitzInt, _require_odd_prime
+from metacommute.quatcore import _CACHED_TABLES, _P_MAX, HurwitzInt, _require_odd_prime
 
 
 def legendre(n: int, p: int) -> int:
@@ -124,7 +124,7 @@ def sqrt_table(p: int) -> tuple[int, ...]:
     return tuple(roots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_TABLES)
 def inv_table(p: int) -> tuple[int, ...]:
     """For each residue x mod p, its inverse mod p (entry 0 is an unused 0)."""
     _require_table_p(p)

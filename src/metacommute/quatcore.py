@@ -41,6 +41,12 @@ _PRIMES_MAX_P = 5000
 # meta_permutation or projective-group count takes under 2 s (Python 3.11, one core)
 _P_MAX = 100_000
 
+# the most tables each per-p or per-n cache keeps (primes_of_norm,
+# elements_of_norm and the O(p) tables of modp and geometry): the sweeps
+# visit p in runs and list each norm's elements once, so no sweep rebuilds
+# a table, and a loop over many p or n keeps only the latest
+_CACHED_TABLES = 16
+
 
 class HurwitzInt:
     """An element of the Hurwitz order, held as the doubled-coordinate tuple
@@ -365,7 +371,7 @@ def _canonical_reps(n: int) -> Iterator[tuple[int, int, int, int]]:
                         yield t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_TABLES)
 def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
     """All Hurwitz integers of norm n, lexicographically sorted."""
     if not isinstance(n, int) or n < 0:
@@ -383,7 +389,7 @@ def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_TABLES)
 def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     """The p+1 left-associate classes of Hurwitz primes of odd prime norm p,
     sorted lexicographically by canonical representative."""

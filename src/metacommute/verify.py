@@ -82,19 +82,24 @@ def odd_primes_up_to(n: int) -> list[int]:
 def sweep_queries(p_max: int, q_max: int):
     """Yield (p, Q) over odd primes p <= p_max, primes q <= q_max with
     q != p, and every Q of norm q, in sorted order."""
+    norms = [(q, elements_of_norm(q)) for q in primes_up_to(q_max)]
     for p in odd_primes_up_to(p_max):
-        for q in primes_up_to(q_max):
+        for q, elements in norms:
             if q == p:
                 continue
-            for Q in elements_of_norm(q):
+            for Q in elements:
                 yield p, Q
+
+
+def _require_int(flag: str, value) -> None:
+    if not isinstance(value, int):
+        raise DomainError(f"{flag} is an int, got {value!r}")
 
 
 def _bound(flag: str, value: int, limit: int, what: str) -> None:
     """Reject a scope flag that is not an int, or beyond the limit of the
     per-p or per-q build it drives, before any prime is listed."""
-    if not isinstance(value, int):
-        raise DomainError(f"{flag} is an int, got {value!r}")
+    _require_int(flag, value)
     if value > limit:
         raise ScaleLimit(f"{what} only for {flag} <= {limit}")
 
@@ -251,6 +256,7 @@ def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyRepo
     """
     _bound("p_max", p_max, _PRIMES_MAX_P, "prime classes are enumerated")
     _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
+    _require_int("seed", seed)
     _bound_sweep(p_max, q_max)
     scope = {"p_max": p_max, "q_max": q_max, "seed": seed}
     return _run("verify_oracle", scope, _oracle_cases(p_max, q_max))
@@ -292,6 +298,7 @@ def verify_phi(p_max: int = 13, seed: int = 0) -> VerifyReport:
     """The splitting map is a ring homomorphism transporting norm to det and
     trace to trace, satisfies the defining relations, and round-trips."""
     _bound("p_max", p_max, _P_MAX, "splittings are built")
+    _require_int("seed", seed)
     scope = {"p_max": p_max, "seed": seed, "pairs": _PHI_PAIRS}
     return _run("verify_phi", scope, _phi_cases(p_max, seed))
 
@@ -338,3 +345,7 @@ def verify_counting(p_max: int = 13) -> VerifyReport:
     _bound("p_max", p_max, _PRIMES_MAX_P, "prime classes are enumerated")
     scope = {"p_max": p_max, "bijection_p_max": _BIJECTION_P_MAX}
     return _run("verify_counting", scope, _counting_cases(p_max))
+
+
+# the verify checks, in CLI order; the parameters of verify_<check> are its flags
+CHECKS = ("signs", "fixed", "cycles", "phi", "oracle", "orders", "counting")

@@ -12,6 +12,7 @@ from metacommute.errors import (
     InternalInvariantViolation,
     MetacommuteError,
     ModulusMismatch,
+    ParityError,
     SingularMatrix,
     UnsupportedPrime,
     ZeroInput,
@@ -35,7 +36,14 @@ from metacommute.modp import (
     reduce_mod,
     two_square_rep,
 )
-from metacommute.quatcore import HurwitzInt, PrimeClass, make, primes_of_norm
+from metacommute.quatcore import (
+    _CACHED_TABLES,
+    HurwitzInt,
+    PrimeClass,
+    elements_of_norm,
+    make,
+    primes_of_norm,
+)
 from metacommute.verify import odd_primes_up_to
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -223,6 +231,19 @@ def test_conic_to_prime_example():
     assert conic_to_prime(c) == PrimeClass.of(make(2, 2, 2, 0))
 
 
+@pytest.mark.parametrize("point,error", [
+    ((5, 1, 1, 1), DomainError),  # off the conic
+    ((4, 1, 0, 0), UnsupportedPrime),
+    ((5, 2, 4, 0), DomainError),  # on the conic, not in normal form
+    ((5, 0, 0, 0), ZeroInput),
+    ((5, 1.5, 2, 0), ParityError),  # a coordinate that is not an int
+])
+def test_conic_to_prime_rejects_a_bad_point(point, error):
+    # a bad input, not a defect: never InternalInvariantViolation
+    with pytest.raises(error):
+        conic_to_prime(ConicPoint(*point))
+
+
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_round_trip_class_conic_class(p):
     for P in primes_of_norm(p):
@@ -249,6 +270,26 @@ def test_conic_to_proj_nilpotent_point():
         special = images[ProjPoint(p, 0, 1)]
         m = phi(QuotQuat(p, 0, special.x, special.y, special.z), rep)
         assert m.a3 == 0 and m.a1 == 0 and m.a4 == 0 and m.a2 != 0
+
+
+def test_a_loop_over_many_p_or_n_keeps_each_cache_at_its_bound():
+    primes = odd_primes_up_to(80)
+    assert len(primes) > _CACHED_TABLES
+    for p in primes:
+        for table in (primes_of_norm, conic_points, geometry.proj_table, inv_table):
+            table(p)
+    for n in range(1, len(primes) + 1):
+        elements_of_norm(n)
+    for table in (primes_of_norm, conic_points, geometry.proj_table, inv_table,
+                  elements_of_norm):
+        assert table.cache_info().currsize == _CACHED_TABLES, table
+    # one p's classes and conic points fit; many p's do not all stay
+    for p in odd_primes_up_to(300):
+        for P in primes_of_norm(p):
+            conic_to_prime(trace_zero_rep(P))
+    assert sum(p + 1 for p in odd_primes_up_to(300)) > geometry._CACHED_POINTS
+    for table in (trace_zero_rep, conic_to_prime):
+        assert table.cache_info().currsize == geometry._CACHED_POINTS, table
 
 
 def test_conic_to_proj_builds_no_inverse_table():

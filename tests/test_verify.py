@@ -2,10 +2,11 @@
 the shared norm-p factor and the product identity are checked separately.
 Every other check reports an injected fault with its exact message."""
 import dataclasses
+import inspect
 
 import pytest
 
-from metacommute import _kernels, verify
+from metacommute import _kernels, metacomm, verify
 from metacommute.errors import DomainError, ScaleLimit
 from metacommute.metacomm import MetaQuery, Permutation, meta_conj, meta_permutation
 from metacommute.quatcore import HurwitzInt, PrimeClass, _norm_p_factor, primes_of_norm
@@ -44,11 +45,35 @@ def _wrong_norm(cls, p, Q):
     (lambda: verify.verify_counting(5.0), "p_max"),
     (lambda: verify.verify_phi(5.0), "p_max"),
     (lambda: verify.verify_orders(5.0), "p_max"),
-], ids=["signs", "signs_str", "fixed", "cycles", "oracle", "counting", "phi", "orders"])
+    (lambda: verify.verify_oracle(3, 3, seed="x"), "seed"),
+    (lambda: verify.verify_phi(3, seed=0.5), "seed"),
+    (lambda: verify.verify_phi(3, seed="x"), "seed"),
+], ids=["signs", "signs_str", "fixed", "cycles", "oracle", "counting", "phi", "orders",
+        "oracle_seed_str", "phi_seed_float", "phi_seed_str"])
 def test_a_scope_bound_that_is_not_an_int_is_a_domain_error(call, flag):
-    # a float or str must not reach range(), where it is a bare TypeError
+    # a float or str must not reach range() or the seeded generator, where
+    # it is a bare TypeError or a silent float; an oracle seed is only echoed
     with pytest.raises(DomainError, match=f"^{flag} is an int, got "):
         call()
+
+
+def test_checks_name_every_verify_function():
+    functions = {name for name, value in inspect.getmembers(verify, inspect.isfunction)
+                 if name.startswith("verify_")}
+    assert {"verify_" + check for check in verify.CHECKS} == functions
+    assert len(verify.CHECKS) == len(set(verify.CHECKS)) == 7
+
+
+def test_a_fault_in_analyze_fails_verify_orders(monkeypatch):
+    # the census reads each element's order off analyze's cycle lengths
+    analyze = metacomm.analyze
+
+    def one_length_dropped(perm):
+        report = analyze(perm)
+        return dataclasses.replace(report, cycle_lengths=report.cycle_lengths[1:])
+
+    monkeypatch.setattr(metacomm, "analyze", one_length_dropped)
+    assert not verify.verify_orders(5).passed
 
 
 def test_the_sweep_size_is_the_oracle_case_count():
