@@ -5,8 +5,9 @@ Quaternions are written as doubled-coordinate 4-tuples "[A,B,C,D]", meaning
 byte-stable for identical inputs and --seed. Each cmd_* returns its exit
 code, its JSON payload and its text lines; main prints one of the two.
 
-Exit codes: 0 success / everything verified, 1 verification failures,
-2 usage errors, 141 stdout closed early (a reader such as `head` quit).
+Exit codes: 0 success / everything verified, 1 verification failures or an
+internal defect, 2 usage errors, 141 stdout closed early (a reader such as
+`head` quit).
 """
 from __future__ import annotations
 
@@ -18,11 +19,9 @@ import sys
 
 from metacommute import verify as verify_mod
 from metacommute.errors import (
-    CoprimalityError,
+    InternalInvariantViolation,
     MetacommuteError,
-    ParityError,
     ParseError,
-    ScaleLimit,
     UnsupportedPrime,
 )
 from metacommute.geometry import conic_points
@@ -34,7 +33,7 @@ from metacommute.metacomm import (
     order_count,
     predict,
 )
-from metacommute.modp import phi, reduce_mod, two_square_rep
+from metacommute.modp import _phi_entries, two_square_rep
 from metacommute.quatcore import (
     _P_MAX,
     HurwitzInt,
@@ -147,11 +146,13 @@ def cmd_permute(args):
     query, payload, head = _query(args)
     perm = meta_permutation(query)
     report = analyze(perm)
-    acting = phi(reduce_mod(query.Q, query.p), two_square_rep(query.p))
+    p, rep = query.p, two_square_rep(query.p)
+    # the doubled coordinates give the matrix of 2Q, halved here to Q's
+    matrix = [v * (p + 1) // 2 % p for v in _phi_entries(p, rep.a, rep.b, *query.Q.coeffs)]
     psign, pfixed = payload["predicted_sign"], payload["predicted_fixed"]
     ok = report.sign == psign and report.fixed_count == pfixed
     payload |= {
-        "matrix": list(acting.entries),  # row-major image of Q mod p
+        "matrix": matrix,  # row-major image of Q mod p
         "ground": [str(c) for c in perm.ground],
         "images": list(perm.images),
         "cycles": _cycle_notation(perm.images),
@@ -294,14 +295,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return _EXIT_BROKEN_PIPE
-    except (ParseError, ParityError, UnsupportedPrime, CoprimalityError,
-            ScaleLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MetacommuteError as exc:  # internal defect, not a usage problem
+    except InternalInvariantViolation as exc:  # the one defect type
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except MetacommuteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

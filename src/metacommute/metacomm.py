@@ -144,16 +144,19 @@ def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
     images = Permutation(len(images) - 1, tuple(images)).images
     seen = bytearray(len(images))
     cycles = []
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        j = images[start]
-        while j != start:
-            seen[j] = 1
-            cycle.append(j)
-            j = images[j]
-        cycles.append(cycle)
+    try:
+        for start in range(len(images)):
+            if seen[start]:
+                continue
+            cycle = [start]
+            j = images[start]
+            while j != start:
+                seen[j] = 1
+                cycle.append(j)
+                j = images[j]
+            cycles.append(cycle)
+    except TypeError:  # see analyze
+        raise InternalInvariantViolation("images are not all ints") from None
     return cycles
 
 
@@ -167,18 +170,23 @@ def analyze(perm: Permutation) -> PermReport:
     seen = bytearray(len(images))
     fixed = 0
     lengths = []
-    for start, j in enumerate(images):
-        if seen[start]:
-            continue
-        if j == start:
-            fixed += 1
-            continue
-        length = 1
-        while j != start:
-            seen[j] = 1
-            j = images[j]
-            length += 1
-        lengths.append(length)
+    try:
+        for start, j in enumerate(images):
+            if seen[start]:
+                continue
+            if j == start:
+                fixed += 1
+                continue
+            length = 1
+            while j != start:
+                seen[j] = 1
+                j = images[j]
+                length += 1
+            lengths.append(length)
+    except TypeError:
+        # Permutation's set test admits an image only equal to an int, such
+        # as 1.0, that cannot index; on Python 3.11+ the try is free
+        raise InternalInvariantViolation("images are not all ints") from None
     lengths.sort()
     # a k-cycle is k - 1 transpositions
     sign = -1 if (len(images) - fixed - len(lengths)) % 2 else 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from metacommute import _kernels
 from metacommute.errors import ModulusMismatch, ScaleLimit
 from metacommute.quatcore import _CACHED_TABLES, _P_MAX, HurwitzInt, _require_odd_prime
 
@@ -59,17 +60,14 @@ class QuotQuat:
         return QuotQuat(self.p, self.c1 + other.c1, self.ci + other.ci,
                         self.cj + other.cj, self.ck + other.ck)
 
+    @property
+    def _doubled(self) -> tuple[int, int, int, int]:
+        return (2 * self.c1, 2 * self.ci, 2 * self.cj, 2 * self.ck)
+
     def __mul__(self, other: "QuotQuat") -> "QuotQuat":
+        # the routes' product on doubled coordinates: 2x, 2y in and 2xy out
         self._same(other)
-        a, b, c, d = self.coords
-        e, f, g, h = other.coords
-        return QuotQuat(
-            self.p,
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
+        return QuotQuat(self.p, *(v >> 1 for v in _kernels.mul(self._doubled, other._doubled)))
 
     def scale(self, s: int) -> "QuotQuat":
         return QuotQuat(self.p, s * self.c1, s * self.ci, s * self.cj, s * self.ck)
@@ -78,7 +76,8 @@ class QuotQuat:
         return QuotQuat(self.p, self.c1, -self.ci, -self.cj, -self.ck)
 
     def norm(self) -> int:
-        return (self.c1 ** 2 + self.ci ** 2 + self.cj ** 2 + self.ck ** 2) % self.p
+        # the routes' norm, which reads 2x as x
+        return _kernels.norm(self._doubled) % self.p
 
     def trace(self) -> int:
         return (2 * self.c1) % self.p

@@ -47,6 +47,10 @@ _BIJECTION_P_MAX = 13
 # largest scope run in full, holds 26,492,976
 _SWEEP_MAX_CASES = 30_000_000
 
+# the most elements of prime norm one sweep may hold: it holds every norm's
+# elements at once, about 370 MB at this bound
+_SWEEP_MAX_ELEMENTS = 2_000_000
+
 
 @dataclass
 class VerifyReport:
@@ -106,13 +110,16 @@ def _bound(flag: str, value: int, limit: int, what: str) -> None:
 
 def _bound_sweep(p_max: int, q_max: int) -> int:
     """Return the number of cases in the sweep over sweep_queries(p_max,
-    q_max), rejecting a sweep above _SWEEP_MAX_CASES before it starts.
+    q_max), rejecting before it starts a flag above _PRIMES_MAX_P, a sweep
+    above _SWEEP_MAX_CASES, or one holding over _SWEEP_MAX_ELEMENTS elements.
 
     The count is the sum of (p+1) n(q) over odd primes p <= p_max and primes
     q <= q_max with q != p, where n(q) = #elements_of_norm(q) is 24 for
     q = 2 and 24(q+1) otherwise. It is the oracle's case count and the
     number of permutation images a theorem sweep computes.
     """
+    _bound("p_max", p_max, _PRIMES_MAX_P, "a sweep runs")
+    _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
     per_q = {q: 24 if q == 2 else 24 * (q + 1) for q in primes_up_to(q_max)}
     every_q = sum(per_q.values())
     size = sum((p + 1) * (every_q - per_q.get(p, 0)) for p in odd_primes_up_to(p_max))
@@ -120,6 +127,11 @@ def _bound_sweep(p_max: int, q_max: int) -> int:
         raise ScaleLimit(
             f"p_max={p_max}, q_max={q_max} holds {size} cases; "
             f"a sweep runs at most {_SWEEP_MAX_CASES}"
+        )
+    if every_q > _SWEEP_MAX_ELEMENTS:
+        raise ScaleLimit(
+            f"q_max={q_max} holds {every_q} elements of prime norm; "
+            f"a sweep holds at most {_SWEEP_MAX_ELEMENTS}"
         )
     return size
 
@@ -150,8 +162,6 @@ def _permutations(p_max: int, q_max: int):
 
 def _theorem(name: str, p_max: int, q_max: int, check) -> VerifyReport:
     """Run check(query, analyze(perm)) -> failure or None over the sweep."""
-    _bound("p_max", p_max, _P_MAX, "permutations are built")
-    _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
     _bound_sweep(p_max, q_max)
     cases = (check(query, analyze(perm)) for query, perm in _permutations(p_max, q_max))
     return _run(name, {"p_max": p_max, "q_max": q_max}, cases)
@@ -254,10 +264,8 @@ def verify_oracle(p_max: int = 13, q_max: int = 13, seed: int = 0) -> VerifyRepo
     P Q = Q' P' exactly. (seed is accepted for interface symmetry; the sweep
     is exhaustive and uses no randomness.)
     """
-    _bound("p_max", p_max, _PRIMES_MAX_P, "prime classes are enumerated")
-    _bound("q_max", q_max, _PRIMES_MAX_P, "elements of norm q are enumerated")
-    _require_int("seed", seed)
     _bound_sweep(p_max, q_max)
+    _require_int("seed", seed)
     scope = {"p_max": p_max, "q_max": q_max, "seed": seed}
     return _run("verify_oracle", scope, _oracle_cases(p_max, q_max))
 

@@ -7,9 +7,15 @@ import sys
 
 import pytest
 
+from metacommute import cli
 from metacommute import verify as verify_mod
 from metacommute.cli import _P_MAX, main, parse_quat
-from metacommute.errors import ParityError, ParseError
+from metacommute.errors import (
+    InternalInvariantViolation,
+    MetacommuteError,
+    ParityError,
+    ParseError,
+)
 from metacommute.quatcore import _PRIMES_MAX_P, OMEGA, ONE, _is_rational_prime
 
 
@@ -209,6 +215,29 @@ def test_a_failing_verify_prints_each_failure(capsys, monkeypatch):
     payload = {"cases_failed": 3, "cases_run": 4, "check": "orders",
                "first_failures": _FAILURES, "passed": False, "scope": {"p_max": 3}}
     assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_subclasses(MetacommuteError)),
+                                         key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_only_an_internal_defect_exits_1(capsys, monkeypatch, error):
+    def raise_it(p):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "primes_of_norm", raise_it)
+    code = main(["primes", "--p", "3"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if error is InternalInvariantViolation:
+        assert (code, captured.err) == (1, "internal error: injected\n")
+    else:
+        assert (code, captured.err) == (2, "error: injected\n")
 
 
 def test_orders_totals(capsys):

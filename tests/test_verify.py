@@ -83,6 +83,46 @@ def test_the_sweep_size_is_the_oracle_case_count():
     assert verify._bound_sweep(97, 97) == 26_492_976
     with pytest.raises(ScaleLimit):
         verify._bound_sweep(3, 3000)
+    # far below the case bound, but the sweep holds all 1,978,200 elements of
+    # prime norm up to q_max = 1038 at once, 96 of them of norm 3
+    assert verify._bound_sweep(3, 1038) == 4 * (1_978_200 - 96)
+    with pytest.raises(ScaleLimit, match="^q_max=1100 holds 2235240 elements of prime norm; "):
+        verify._bound_sweep(3, 1100)
+    with pytest.raises(ScaleLimit, match="holds 2003160 elements"):
+        verify._bound_sweep(5, 1039)
+
+
+@pytest.mark.parametrize("sweep", [
+    verify.verify_signs, verify.verify_fixed, verify.verify_cycles, verify.verify_oracle,
+], ids=["signs", "fixed", "cycles", "oracle"])
+@pytest.mark.parametrize("scope,message", [
+    ((5001, 2), "^a sweep runs only for p_max <= 5000$"),
+    ((3, 5001), "^elements of norm q are enumerated only for q_max <= 5000$"),
+    ((3, 1100), "elements of prime norm"),
+    ((5, 3000), "cases; a sweep runs at most 30000000$"),
+], ids=["p_max", "q_max", "elements", "cases"])
+def test_every_sweep_meets_the_one_scope_check(sweep, scope, message):
+    with pytest.raises(ScaleLimit, match=message):
+        sweep(*scope)
+
+
+def _sign_fault(mul):
+    def faulty(x, y):
+        # the real part's D H term added where it is subtracted
+        A, B, C, D = mul(x, y)
+        return A + x[3] * y[3], B, C, D
+    return faulty
+
+
+@pytest.mark.parametrize("name,fault", [
+    ("mul", _sign_fault),
+    ("norm", lambda norm: lambda x: norm(x) + 1),
+], ids=["mul-sign", "norm-plus-one"])
+def test_verify_phi_checks_the_kernels_the_routes_run(monkeypatch, name, fault):
+    # phi is checked against the product and norm of _kernels, not a copy
+    assert verify.verify_phi(13).passed
+    monkeypatch.setattr(_kernels, name, fault(getattr(_kernels, name)))
+    assert not verify.verify_phi(13).passed
 
 
 def test_the_unpatched_oracle_passes():
