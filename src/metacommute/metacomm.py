@@ -154,6 +154,7 @@ def cycle_decomposition(images: tuple[int, ...]) -> list[list[int]]:
                 seen[j] = 1
                 cycle.append(j)
                 j = images[j]
+            seen[j] = 1  # see analyze
             cycles.append(cycle)
     except TypeError:  # see analyze
         raise InternalInvariantViolation("images are not all ints") from None
@@ -165,7 +166,8 @@ def analyze(perm: Permutation) -> PermReport:
 
     Walks cycle lengths only: Permutation has checked that images is a
     bijection, so every walk closes at its start. The loop never meets a
-    start again, so a walk marks only the rest of its cycle."""
+    start again, so a walk marks only the rest of its cycle, and then the
+    image that closed it: every image, a fixed one too, indexes seen."""
     images = perm.images
     seen = bytearray(len(images))
     fixed = 0
@@ -174,15 +176,16 @@ def analyze(perm: Permutation) -> PermReport:
         for start, j in enumerate(images):
             if seen[start]:
                 continue
-            if j == start:
-                fixed += 1
-                continue
             length = 1
             while j != start:
                 seen[j] = 1
                 j = images[j]
                 length += 1
-            lengths.append(length)
+            seen[j] = 1
+            if length == 1:
+                fixed += 1
+            else:
+                lengths.append(length)
     except TypeError:
         # Permutation's set test admits an image only equal to an int, such
         # as 1.0, that cannot index; on Python 3.11+ the try is free

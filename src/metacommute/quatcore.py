@@ -43,8 +43,9 @@ _P_MAX = 100_000
 
 # the most tables each per-p or per-n cache keeps (primes_of_norm,
 # elements_of_norm and the O(p) tables of modp and geometry): the sweeps
-# visit p in runs and list each norm's elements once, so no sweep rebuilds
-# a table, and a loop over many p or n keeps only the latest
+# visit q in runs and list each norm's elements once, so a sweep over at
+# most 16 odd p rebuilds no table, and a loop over many p or n keeps only
+# the latest
 _CACHED_TABLES = 16
 
 

@@ -3,7 +3,7 @@
 Every check is exact integer equality; a sweep fails only if some identity
 breaks. Each check is a stream of cases, each None when its identity holds
 and its failure message when it does not, that one runner, ``_run``, times
-and records. Failures are collected in sorted (p, q, Q) order so reports
+and records. Failures are collected in sorted (q, p, Q) order so reports
 are deterministic.
 """
 from __future__ import annotations
@@ -47,10 +47,6 @@ _BIJECTION_P_MAX = 13
 # largest scope run in full, holds 26,492,976
 _SWEEP_MAX_CASES = 30_000_000
 
-# the most elements of prime norm one sweep may hold: it holds every norm's
-# elements at once, about 370 MB at this bound
-_SWEEP_MAX_ELEMENTS = 2_000_000
-
 
 @dataclass
 class VerifyReport:
@@ -84,19 +80,21 @@ def odd_primes_up_to(n: int) -> list[int]:
 
 
 def sweep_queries(p_max: int, q_max: int):
-    """Yield (p, Q) over odd primes p <= p_max, primes q <= q_max with
-    q != p, and every Q of norm q, in sorted order."""
-    norms = [(q, elements_of_norm(q)) for q in primes_up_to(q_max)]
-    for p in odd_primes_up_to(p_max):
-        for q, elements in norms:
-            if q == p:
+    """Yield (p, Q) over primes q <= q_max, odd primes p <= p_max with
+    p != q, and every Q of norm q, in sorted (q, p, Q) order. It lists one
+    norm's elements at a time, so a sweep holds only those."""
+    odd_primes = odd_primes_up_to(p_max)
+    for q in primes_up_to(q_max):
+        elements = elements_of_norm(q)
+        for p in odd_primes:
+            if p == q:
                 continue
             for Q in elements:
                 yield p, Q
 
 
 def _require_int(flag: str, value) -> None:
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{flag} is an int, got {value!r}")
 
 
@@ -110,8 +108,8 @@ def _bound(flag: str, value: int, limit: int, what: str) -> None:
 
 def _bound_sweep(p_max: int, q_max: int) -> int:
     """Return the number of cases in the sweep over sweep_queries(p_max,
-    q_max), rejecting before it starts a flag above _PRIMES_MAX_P, a sweep
-    above _SWEEP_MAX_CASES, or one holding over _SWEEP_MAX_ELEMENTS elements.
+    q_max), rejecting before it starts a flag above _PRIMES_MAX_P or a sweep
+    above _SWEEP_MAX_CASES.
 
     The count is the sum of (p+1) n(q) over odd primes p <= p_max and primes
     q <= q_max with q != p, where n(q) = #elements_of_norm(q) is 24 for
@@ -127,11 +125,6 @@ def _bound_sweep(p_max: int, q_max: int) -> int:
         raise ScaleLimit(
             f"p_max={p_max}, q_max={q_max} holds {size} cases; "
             f"a sweep runs at most {_SWEEP_MAX_CASES}"
-        )
-    if every_q > _SWEEP_MAX_ELEMENTS:
-        raise ScaleLimit(
-            f"q_max={q_max} holds {every_q} elements of prime norm; "
-            f"a sweep holds at most {_SWEEP_MAX_ELEMENTS}"
         )
     return size
 

@@ -479,17 +479,19 @@ def test_cycle_decomposition():
     assert cycle_decomposition((1, 3, 0, 2)) == [[0, 1, 3, 2]]
 
 
-# (1.0, 0) passes Permutation's set test; the walk must not fail with a bare TypeError
+# (1.0, 0) passes Permutation's set test; the walk must not fail with a bare
+# TypeError, nor pass a float that is fixed (0.0, 1) or closes a cycle (1, 0.0)
 @pytest.mark.parametrize("images", [(1, 1, 0), (0, 0), (1, 2, 1), (2, 0, 0), (5, 0), (0, 2),
-                                    (1.0, 0)])
+                                    (1.0, 0), (0.0, 1), (1, 0.0)])
 def test_cycle_decomposition_rejects_a_non_bijection(images, deadline):
     with deadline(0.5), pytest.raises(InternalInvariantViolation):
         cycle_decomposition(images)
 
 
 def test_analyze_rejects_an_image_that_only_equals_an_int():
-    with pytest.raises(InternalInvariantViolation, match="^images are not all ints$"):
-        analyze(Permutation(1, (1.0, 0)))
+    for images in (1.0, 0), (0.0, 1), (1, 0.0):
+        with pytest.raises(InternalInvariantViolation, match="^images are not all ints$"):
+            analyze(Permutation(1, images))
 
 
 def test_analyze_identity():

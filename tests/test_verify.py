@@ -48,11 +48,17 @@ def _wrong_norm(cls, p, Q):
     (lambda: verify.verify_oracle(3, 3, seed="x"), "seed"),
     (lambda: verify.verify_phi(3, seed=0.5), "seed"),
     (lambda: verify.verify_phi(3, seed="x"), "seed"),
+    (lambda: verify.verify_counting(True), "p_max"),
+    (lambda: verify.verify_oracle(3, 3, seed=True), "seed"),
+    (lambda: verify.verify_phi(3, seed=True), "seed"),
 ], ids=["signs", "signs_str", "fixed", "cycles", "oracle", "counting", "phi", "orders",
-        "oracle_seed_str", "phi_seed_float", "phi_seed_str"])
+        "oracle_seed_str", "phi_seed_float", "phi_seed_str", "counting_bool",
+        "oracle_seed_bool", "phi_seed_bool"])
 def test_a_scope_bound_that_is_not_an_int_is_a_domain_error(call, flag):
     # a float or str must not reach range() or the seeded generator, where
-    # it is a bare TypeError or a silent float; an oracle seed is only echoed
+    # it is a bare TypeError or a silent float; an oracle seed is only echoed.
+    # A bool is an int to isinstance, but True would run as 1 and be echoed
+    # as true
     with pytest.raises(DomainError, match=f"^{flag} is an int, got "):
         call()
 
@@ -83,13 +89,30 @@ def test_the_sweep_size_is_the_oracle_case_count():
     assert verify._bound_sweep(97, 97) == 26_492_976
     with pytest.raises(ScaleLimit):
         verify._bound_sweep(3, 3000)
-    # far below the case bound, but the sweep holds all 1,978,200 elements of
-    # prime norm up to q_max = 1038 at once, 96 of them of norm 3
+    # 1,978,200 elements of prime norm up to q_max = 1038, 96 of them of
+    # norm 3; the sweep lists one norm's elements at a time, so only the
+    # case count bounds q_max
     assert verify._bound_sweep(3, 1038) == 4 * (1_978_200 - 96)
-    with pytest.raises(ScaleLimit, match="^q_max=1100 holds 2235240 elements of prime norm; "):
-        verify._bound_sweep(3, 1100)
-    with pytest.raises(ScaleLimit, match="holds 2003160 elements"):
-        verify._bound_sweep(5, 1039)
+    assert verify._bound_sweep(3, 1100) == 8_940_576
+    assert verify._bound_sweep(5, 1039) == 20_030_352
+
+
+def test_the_sweep_lists_one_norm_at_a_time(monkeypatch):
+    # each norm is listed once, after the last (p, Q) of the norm before it
+    listed = []
+    elements_of_norm = verify.elements_of_norm
+
+    def listing(q):
+        listed.append(q)
+        return elements_of_norm(q)
+
+    monkeypatch.setattr(verify, "elements_of_norm", listing)
+    cases = 0
+    for p, Q in verify.sweep_queries(7, 13):
+        assert Q.norm() == listed[-1], (p, Q)
+        cases += p + 1
+    assert listed == verify.primes_up_to(13)
+    assert cases == verify._bound_sweep(7, 13)
 
 
 @pytest.mark.parametrize("sweep", [
@@ -98,9 +121,8 @@ def test_the_sweep_size_is_the_oracle_case_count():
 @pytest.mark.parametrize("scope,message", [
     ((5001, 2), "^a sweep runs only for p_max <= 5000$"),
     ((3, 5001), "^elements of norm q are enumerated only for q_max <= 5000$"),
-    ((3, 1100), "elements of prime norm"),
     ((5, 3000), "cases; a sweep runs at most 30000000$"),
-], ids=["p_max", "q_max", "elements", "cases"])
+], ids=["p_max", "q_max", "cases"])
 def test_every_sweep_meets_the_one_scope_check(sweep, scope, message):
     with pytest.raises(ScaleLimit, match=message):
         sweep(*scope)
