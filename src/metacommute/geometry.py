@@ -173,9 +173,11 @@ def conic_to_prime(c: ConicPoint) -> PrimeClass:
     return PrimeClass.dividing(lift, p)
 
 
-def _proj_key(p: int, rep: TwoSquareRep, x: int, y: int, z: int) -> int:
+def _proj_key(p: int, rep: TwoSquareRep, x: int, y: int, z: int,
+             inv: tuple[int, ...] | None = None) -> int:
     """The int key of conic_to_proj of the conic point (x : y : z): <1,m> is m
-    and <0,1> is p."""
+    and <0,1> is p. A caller that keys a whole conic passes inv_table(p) as
+    inv; a single point takes its one inverse by pow."""
     a1, a2, a3, a4 = _phi_entries(p, rep.a, rep.b, 0, x, y, z)
     if (a1 + a4) % p or (a1 * a4 - a2 * a3) % p or not (a1 or a2 or a3 or a4):
         raise InternalInvariantViolation(
@@ -184,7 +186,9 @@ def _proj_key(p: int, rep: TwoSquareRep, x: int, y: int, z: int) -> int:
         )
     # a3 = 0 with trace 0 and det 0 forces the diagonal to vanish, leaving
     # the projectively unique nilpotent [[0,1],[0,0]]: <0,1>
-    return a4 * pow(a3, -1, p) % p if a3 else p
+    if not a3:
+        return p
+    return a4 * (pow(a3, -1, p) if inv is None else inv[a3]) % p
 
 
 def conic_to_proj(c: ConicPoint, rep: TwoSquareRep) -> ProjPoint:
@@ -208,7 +212,9 @@ def proj_table(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     conic_to_proj, with its rank-one check, and pos[key] the position of the
     conic point with that key."""
     rep = two_square_rep(p)
-    keys = tuple(_proj_key(p, rep, c.x, c.y, c.z) for c in conic_points(p))
+    # the table _act reads for the same p, built here once
+    inv = inv_table(p)
+    keys = tuple(_proj_key(p, rep, c.x, c.y, c.z, inv) for c in conic_points(p))
     pos = [-1] * (p + 1)
     for i, key in enumerate(keys):
         pos[key] = i

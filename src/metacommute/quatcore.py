@@ -30,10 +30,11 @@ from metacommute.errors import (
 )
 
 # primes_of_norm and elements_of_norm share one walk of the canonical-rep
-# cone, O(n^1.5) loop steps. Cold at n = 4999 (Python 3.11, one core)
-# primes_of_norm takes about 0.035 s, and elements_of_norm, which multiplies
-# each rep by the 24 units and sorts, 0.3 s; at n = 50,021 it would take 5 s
-# and keep 1.2 million elements, about 290 MB, in its cache
+# cone, about 2n loop steps: at n = 4999 it indexes 7,892 (C, D) pairs and
+# looks up 2,899 (A, B). Cold at n = 4999 (Python 3.11, one core)
+# primes_of_norm takes about 0.008 s, and elements_of_norm, which multiplies
+# each rep by the 24 units and sorts, 0.22 s; at n = 50,021 it would keep
+# 1.2 million elements, about 290 MB, in its cache
 _PRIMES_MAX_P = 5000
 
 # the largest p of any per-p build outside primes_of_norm, held by the O(p)
@@ -348,22 +349,33 @@ def _canonical_reps(n: int) -> Iterator[tuple[int, int, int, int]]:
     strict least of the 24 first coordinates, which only u = 1 attains, so
     the point is canonical; only a point on the boundary needs canonical_min,
     which keeps exactly one member of each orbit there, ties included.
+
+    The walk meets in the middle: it indexes the (C, D >= 0) pairs of each
+    parity by C^2 + D^2 once, and for each (A, B) reads the pairs with
+    C^2 + D^2 = 4n - A^2 - B^2 from the index of A's parity. Each bucket
+    lists its pairs in ascending C, so the reps come out in lexicographic
+    order.
     """
     target = 4 * n
     # the least |A| with A^2 >= 2n; 2n is a square when n = 2k^2
-    for A in range(-isqrt(target), -isqrt(2 * n - 1)):
+    a_min = isqrt(2 * n - 1) + 1
+    # C^2 + D^2 = 4n - A^2 - B^2 is at most 4n - a_min^2
+    top = target - a_min * a_min
+    # pairs[e][s]: the (C, D) with C = D = e mod 2, D >= 0 and C^2 + D^2 = s
+    pairs = ({}, {})
+    lc = isqrt(top)
+    for C in range(-lc, lc + 1):
+        index = pairs[C & 1]
+        for D in range(C & 1, isqrt(top - C * C) + 1, 2):
+            index.setdefault(C * C + D * D, []).append((C, D))
+    for A in range(-isqrt(target), -a_min + 1):
         ra = target - A * A
         lb = min(isqrt(ra), -A)
-        # B and C step by 2 from the first value with A's parity
+        index = pairs[A & 1]
+        # B steps by 2 from the first value with A's parity
         for B in range(-lb + ((A ^ lb) & 1), lb + 1, 2):
-            rb = ra - B * B
             slack_b = -A - abs(B)
-            lc = min(isqrt(rb), slack_b)
-            for C in range(-lc + ((A ^ lc) & 1), lc + 1, 2):
-                rc = rb - C * C
-                D = isqrt(rc)
-                if D * D != rc or (A ^ D) & 1:
-                    continue
+            for C, D in index.get(ra - B * B, ()):
                 slack = slack_b - abs(C)
                 if D > slack:
                     continue
@@ -375,7 +387,7 @@ def _canonical_reps(n: int) -> Iterator[tuple[int, int, int, int]]:
 @lru_cache(maxsize=_CACHED_TABLES)
 def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
     """All Hurwitz integers of norm n, lexicographically sorted."""
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"norm is a non-negative int, got {n!r}")
     if n > _PRIMES_MAX_P:
         raise ScaleLimit(f"elements of norm n are enumerated only for n <= {_PRIMES_MAX_P}")

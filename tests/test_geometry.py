@@ -27,6 +27,7 @@ from metacommute.geometry import (
     pgl2_act,
     trace_zero_rep,
 )
+from metacommute.metacomm import MetaQuery, meta_permutation
 from metacommute.modp import (
     FpMat2,
     QuotQuat,
@@ -299,6 +300,18 @@ def test_conic_to_proj_builds_no_inverse_table():
     inv_table.cache_clear()
     conic_to_proj(c, two_square_rep(p))
     assert inv_table.cache_info().misses == 0
+
+
+def test_a_cold_proj_table_builds_the_inverse_table_the_action_reads():
+    # one inverse table per p: proj_table keys the conic with it, and the
+    # first permutation at that p reads the same table
+    p = 499
+    geometry.proj_table.cache_clear()
+    inv_table.cache_clear()
+    geometry.proj_table(p)
+    assert inv_table.cache_info().misses == 1
+    meta_permutation(MetaQuery.create(p, make(3, 1, 1, 1)))
+    assert inv_table.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)

@@ -624,7 +624,7 @@ def test_elements_of_norm_rejects_a_negative_norm_with_a_typed_error():
     assert isinstance(info.value, MetacommuteError) and isinstance(info.value, ValueError)
 
 
-@pytest.mark.parametrize("n", [2.0, 5.0, "4", None])
+@pytest.mark.parametrize("n", [2.0, 5.0, "4", None, True, False])
 def test_elements_of_norm_rejects_a_norm_that_is_not_an_int(n):
     elements_of_norm(2)  # 2.0 must not be answered from the entry of 2
     with pytest.raises(DomainError, match="non-negative int"):
@@ -632,8 +632,8 @@ def test_elements_of_norm_rejects_a_norm_that_is_not_an_int(n):
 
 
 def test_elements_of_norm_stops_at_the_enumeration_bound():
-    # the bound of primes_of_norm and verify --q-max; above it the walk
-    # grows as n^1.5 and caches every value it finds
+    # the bound of primes_of_norm and verify --q-max; above it each listing,
+    # which the cache keeps, grows with n
     with pytest.raises(ScaleLimit):
         elements_of_norm(_PRIMES_MAX_P + 1)
     with pytest.raises(ScaleLimit):
