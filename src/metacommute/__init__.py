@@ -33,7 +33,6 @@ from metacommute.modp import (
     TwoSquareRep,
     legendre,
     phi,
-    phi_inv,
     reduce_mod,
     two_square_rep,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "pgl2_act",
     "pgl2_order_census",
     "phi",
-    "phi_inv",
     "predict",
     "primes_of_norm",
     "reduce_mod",

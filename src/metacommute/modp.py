@@ -1,23 +1,27 @@
-"""The quotient algebra of the Hurwitz order mod an odd prime p, and its
-identification with 2x2 matrices over F_p.
+"""The Hurwitz order mod an odd prime p and its splitting onto 2x2
+matrices over F_p, with the per-p tables the routes read.
 
-Field scalars are plain ints in [0, p); the containing values carry the
-modulus. Reduction of a doubled-coordinate quaternion multiplies by the
-inverse of 2 mod p, which exists because p is odd.
+The splitting is one formula on ints, _phi_entries, with its closed-form
+inverse _phi_inverse beside it; the routes and `verify phi` compute on
+residue 4-tuples. QuotQuat and FpMat2 are values without arithmetic: they
+reduce their coordinates mod p on construction and carry the modulus.
+Reduction of a doubled-coordinate quaternion multiplies by the inverse of
+2 mod p, which exists because p is odd.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from metacommute import _kernels
-from metacommute.errors import ModulusMismatch, ScaleLimit
+from metacommute.errors import DomainError, ModulusMismatch, ScaleLimit
 from metacommute.quatcore import _CACHED_TABLES, _P_MAX, HurwitzInt, _require_odd_prime
 
 
 def legendre(n: int, p: int) -> int:
     """Legendre symbol (n/p) via Euler's criterion: 0, +1 or -1."""
     _require_odd_prime(p)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"legendre is defined for an int n, got {n!r}")
     return _legendre(n, p)
 
 
@@ -44,43 +48,9 @@ class QuotQuat:
         for name in ("c1", "ci", "cj", "ck"):
             object.__setattr__(self, name, getattr(self, name) % self.p)
 
-    def _same(self, other: "QuotQuat") -> None:
-        if self.p != other.p:
-            raise ModulusMismatch(f"moduli differ: {self.p} vs {other.p}")
-
     @property
     def coords(self) -> tuple[int, int, int, int]:
         return (self.c1, self.ci, self.cj, self.ck)
-
-    def __bool__(self) -> bool:
-        return any(self.coords)
-
-    def __add__(self, other: "QuotQuat") -> "QuotQuat":
-        self._same(other)
-        return QuotQuat(self.p, self.c1 + other.c1, self.ci + other.ci,
-                        self.cj + other.cj, self.ck + other.ck)
-
-    @property
-    def _doubled(self) -> tuple[int, int, int, int]:
-        return (2 * self.c1, 2 * self.ci, 2 * self.cj, 2 * self.ck)
-
-    def __mul__(self, other: "QuotQuat") -> "QuotQuat":
-        # the routes' product on doubled coordinates: 2x, 2y in and 2xy out
-        self._same(other)
-        return QuotQuat(self.p, *(v >> 1 for v in _kernels.mul(self._doubled, other._doubled)))
-
-    def scale(self, s: int) -> "QuotQuat":
-        return QuotQuat(self.p, s * self.c1, s * self.ci, s * self.cj, s * self.ck)
-
-    def conjugate(self) -> "QuotQuat":
-        return QuotQuat(self.p, self.c1, -self.ci, -self.cj, -self.ck)
-
-    def norm(self) -> int:
-        # the routes' norm, which reads 2x as x
-        return _kernels.norm(self._doubled) % self.p
-
-    def trace(self) -> int:
-        return (2 * self.c1) % self.p
 
 
 def reduce_mod(h: HurwitzInt, p: int) -> QuotQuat:
@@ -135,7 +105,7 @@ def inv_table(p: int) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_TABLES)
 def two_square_rep(p: int) -> TwoSquareRep:
     """The canonical representation of -1 as a sum of two squares mod p:
     smallest a >= 0 with -1 - a^2 a square, then smallest such b >= 0."""
@@ -161,34 +131,12 @@ class FpMat2:
         for name in ("a1", "a2", "a3", "a4"):
             object.__setattr__(self, name, getattr(self, name) % self.p)
 
-    def _same(self, other: "FpMat2") -> None:
-        if self.p != other.p:
-            raise ModulusMismatch(f"moduli differ: {self.p} vs {other.p}")
-
     @property
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4)
 
-    def __add__(self, other: "FpMat2") -> "FpMat2":
-        self._same(other)
-        return FpMat2(self.p, self.a1 + other.a1, self.a2 + other.a2,
-                      self.a3 + other.a3, self.a4 + other.a4)
-
-    def __mul__(self, other: "FpMat2") -> "FpMat2":
-        self._same(other)
-        return FpMat2(
-            self.p,
-            self.a1 * other.a1 + self.a2 * other.a3,
-            self.a1 * other.a2 + self.a2 * other.a4,
-            self.a3 * other.a1 + self.a4 * other.a3,
-            self.a3 * other.a2 + self.a4 * other.a4,
-        )
-
     def det(self) -> int:
         return (self.a1 * self.a4 - self.a2 * self.a3) % self.p
-
-    def trace(self) -> int:
-        return (self.a1 + self.a4) % self.p
 
 
 def _phi_entries(
@@ -202,6 +150,22 @@ def _phi_entries(
         (-g3 + g4 * a - g2 * b) % p,
         (g1 - g2 * a - g4 * b) % p,
     )
+
+
+def _phi_inverse(
+    p: int, a: int, b: int, a1: int, a2: int, a3: int, a4: int
+) -> tuple[int, int, int, int]:
+    """The coordinates, in [0, p), of the quaternion whose _phi_entries are
+    [[a1, a2], [a3, a4]], in closed form.
+
+    g1 = (a1 + a4)/2 and g3 = (a2 - a3)/2, while u = (a1 - a4)/2 = g2 a + g4 b
+    and v = (a2 + a3)/2 = g4 a - g2 b. Since a^2 + b^2 = -1, that solves to
+    g2 = -(a u - b v) and g4 = -(b u + a v).
+    """
+    h = (p + 1) // 2  # the inverse of 2 mod p
+    u = (a1 - a4) * h % p
+    v = (a2 + a3) * h % p
+    return ((a1 + a4) * h % p, -(a * u - b * v) % p, (a2 - a3) * h % p, -(b * u + a * v) % p)
 
 
 def phi(gamma: QuotQuat, rep: TwoSquareRep) -> FpMat2:
@@ -218,22 +182,3 @@ def phi(gamma: QuotQuat, rep: TwoSquareRep) -> FpMat2:
     if gamma.p != rep.p:
         raise ModulusMismatch(f"moduli differ: {gamma.p} vs {rep.p}")
     return FpMat2(gamma.p, *_phi_entries(gamma.p, rep.a, rep.b, *gamma.coords))
-
-
-def phi_inv(m: FpMat2, rep: TwoSquareRep) -> QuotQuat:
-    """The unique quaternion mod p mapping to m under phi, in closed form.
-
-    With m = [[a1, a2], [a3, a4]] = phi(g1 + g2 i + g3 j + g4 k):
-    g1 = (a1 + a4)/2 and g3 = (a2 - a3)/2, while u = (a1 - a4)/2 = g2 a + g4 b
-    and v = (a2 + a3)/2 = g4 a - g2 b. Since a^2 + b^2 = -1, that solves to
-    g2 = -(a u - b v) and g4 = -(b u + a v).
-    """
-    if m.p != rep.p:
-        raise ModulusMismatch(f"moduli differ: {m.p} vs {rep.p}")
-    p = m.p
-    h = (p + 1) // 2  # the inverse of 2 mod p
-    a1, a2, a3, a4 = m.entries
-    a, b = rep.a, rep.b
-    u = (a1 - a4) * h % p
-    v = (a2 + a3) * h % p
-    return QuotQuat(p, (a1 + a4) * h, -(a * u - b * v), (a2 - a3) * h, -(b * u + a * v))

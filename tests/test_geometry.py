@@ -31,9 +31,9 @@ from metacommute.metacomm import MetaQuery, meta_permutation
 from metacommute.modp import (
     FpMat2,
     QuotQuat,
+    _phi_inverse,
     inv_table,
     phi,
-    phi_inv,
     reduce_mod,
     two_square_rep,
 )
@@ -46,6 +46,7 @@ from metacommute.quatcore import (
     primes_of_norm,
 )
 from metacommute.verify import odd_primes_up_to
+from test_modp import mat_mul, quat_mul, quat_norm
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 
@@ -158,27 +159,27 @@ def test_trace_zero_point_is_killed_by_conjugate():
     for p in ODD_PRIMES:
         for P in primes_of_norm(p):
             c = trace_zero_rep(P)
-            t = reduce_mod(HurwitzInt(0, 2 * c.x, 2 * c.y, 2 * c.z), p)
-            assert t.norm() == 0
-            assert not t * reduce_mod(P.rep.conjugate(), p)
+            t = (0, c.x, c.y, c.z)
+            assert quat_norm(p, t) == 0
+            assert quat_mul(p, t, reduce_mod(P.rep.conjugate(), p).coords) == (0, 0, 0, 0)
 
 
 def _reference_trace_zero_rep(P):
-    """Reference: the trace combination on QuotQuat values. With pbar the
+    """Reference: the trace combination on residue 4-tuples. With pbar the
     class mod p, tr(pbar) * (e pbar) - tr(e pbar) * pbar lies in the left
     ideal and has trace 0; pbar itself does when its trace is 0."""
     p = P.p
-    pbar = reduce_mod(P.rep, p)
-    tr0 = pbar.trace()
+    pbar = reduce_mod(P.rep, p).coords
+    tr0 = 2 * pbar[0] % p
     t = pbar
     if tr0:
         for e in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-            v = QuotQuat(p, *e) * pbar
-            t = v.scale(tr0) + pbar.scale(-v.trace())
-            if t:
+            v = quat_mul(p, e, pbar)
+            t = tuple((tr0 * x - 2 * v[0] * y) % p for x, y in zip(v, pbar))
+            if any(t):
                 break
-    assert t.c1 == 0 and t.norm() == 0
-    return ConicPoint.normalized(p, t.ci, t.cj, t.ck)
+    assert t[0] == 0 and quat_norm(p, t) == 0
+    return ConicPoint.normalized(p, *t[1:])
 
 
 def test_trace_zero_rep_matches_the_quotient_algebra_reference_below_500():
@@ -277,12 +278,13 @@ def test_a_loop_over_many_p_or_n_keeps_each_cache_at_its_bound():
     primes = odd_primes_up_to(80)
     assert len(primes) > _CACHED_TABLES
     for p in primes:
-        for table in (primes_of_norm, conic_points, geometry.proj_table, inv_table):
+        for table in (primes_of_norm, conic_points, geometry.proj_table, inv_table,
+                      two_square_rep):
             table(p)
     for n in range(1, len(primes) + 1):
         elements_of_norm(n)
     for table in (primes_of_norm, conic_points, geometry.proj_table, inv_table,
-                  elements_of_norm):
+                  two_square_rep, elements_of_norm):
         assert table.cache_info().currsize == _CACHED_TABLES, table
     # one p's classes and conic points fit; many p's do not all stay
     for p in odd_primes_up_to(300):
@@ -356,7 +358,8 @@ def test_action_is_right_action_and_scale_invariant():
             lam = rng.randrange(1, p)
             scaled = FpMat2(p, lam * A.a1, lam * A.a2, lam * A.a3, lam * A.a4)
             for pt in pts:
-                assert pgl2_act(pgl2_act(pt, A), B) == pgl2_act(pt, A * B)
+                AB = FpMat2(p, *mat_mul(p, A.entries, B.entries))
+                assert pgl2_act(pgl2_act(pt, A), B) == pgl2_act(pt, AB)
                 assert pgl2_act(pt, scaled) == pgl2_act(pt, A)
 
 
@@ -375,14 +378,15 @@ def test_equivariance_of_conjugation_and_right_action():
         rep = two_square_rep(p)
         for _ in range(30):
             g = QuotQuat(p, *(rng.randrange(p) for _ in range(4)))
-            if g.norm() == 0:
+            if quat_norm(p, g.coords) == 0:
                 continue
             A = phi(g, rep)
+            g_conj = phi(QuotQuat(p, g.c1, -g.ci, -g.cj, -g.ck), rep)
             for c in conic_points(p):
                 m = phi(QuotQuat(p, 0, c.x, c.y, c.z), rep)
-                conj = phi(g.conjugate(), rep) * m * A
+                conj = mat_mul(p, mat_mul(p, g_conj.entries, m.entries), A.entries)
                 # read the conjugated matrix back as a conic point
-                gamma = phi_inv(conj, rep)
-                assert gamma.c1 == 0
-                c2 = ConicPoint.normalized(p, gamma.ci, gamma.cj, gamma.ck)
+                gamma = _phi_inverse(p, rep.a, rep.b, *conj)
+                assert gamma[0] == 0
+                c2 = ConicPoint.normalized(p, *gamma[1:])
                 assert conic_to_proj(c2, rep) == pgl2_act(conic_to_proj(c, rep), A)

@@ -64,6 +64,7 @@ from metacommute.quatcore import (
     units,
 )
 from metacommute.verify import odd_primes_up_to, sweep_queries, verify_oracle
+from test_modp import quat_mul
 
 ONE_PLUS_I = make(2, 2, 0, 0)
 TWO_PLUS_3I = make(4, 6, 0, 0)
@@ -191,14 +192,15 @@ def test_central_q_fixes_every_class():
 
 
 def reference_meta_conj(P, Q):
-    """The conjugation route on QuotQuat values, as it was written before it
-    moved to ints."""
+    """The conjugation route on residue 4-tuples, as it was written before it
+    moved to ints, with the test-side Hamilton product."""
     p = P.p
     c = trace_zero_rep(P)
-    qbar = reduce_mod(Q, p)
-    t2 = qbar.conjugate() * QuotQuat(p, 0, c.x, c.y, c.z) * qbar
-    assert t2.c1 == 0 and t2
-    return conic_to_prime(ConicPoint.normalized(p, t2.ci, t2.cj, t2.ck))
+    qbar = reduce_mod(Q, p).coords
+    qbar_conj = (qbar[0], -qbar[1], -qbar[2], -qbar[3])
+    t2 = quat_mul(p, quat_mul(p, qbar_conj, (0, c.x, c.y, c.z)), qbar)
+    assert t2[0] == 0 and any(t2)
+    return conic_to_prime(ConicPoint.normalized(p, *t2[1:]))
 
 
 def test_meta_conj_matches_the_reference_on_the_sweep():
@@ -652,6 +654,16 @@ def test_a_p_that_is_not_an_int_is_an_unsupported_prime(call):
 def test_order_count_rejects_a_k_that_is_not_an_int(k):
     with pytest.raises(DomainError, match="defined for k > 1, an int"):
         order_count(k, 7)
+
+
+@pytest.mark.parametrize("n", [1.5, 3.0, "3", True, None])
+def test_legendre_rejects_an_n_that_is_not_an_int(n):
+    # True would otherwise be read as 1, a float reach pow and a str reach %
+    with pytest.raises(DomainError, match="legendre is defined for an int n"):
+        legendre(n, 7)
+    # the guard on p runs first
+    with pytest.raises(UnsupportedPrime):
+        legendre(n, 9)
 
 
 def test_predict_matches_analyze_for_every_composite_norm():

@@ -11,17 +11,17 @@ from metacommute.errors import ModulusMismatch, UnsupportedPrime
 from metacommute.modp import (
     FpMat2,
     QuotQuat,
-    TwoSquareRep,
+    _phi_inverse,
     inv_table,
     legendre,
     phi,
-    phi_inv,
     reduce_mod,
     sqrt_table,
     two_square_rep,
 )
 from metacommute.quatcore import OMEGA, HurwitzInt, make
 from metacommute.verify import odd_primes_up_to
+from test_kernels import _hamilton
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 
@@ -30,10 +30,40 @@ def rand_quot(rng, p):
     return QuotQuat(p, *(rng.randrange(p) for _ in range(4)))
 
 
+def quat_mul(p, x, y):
+    """The product mod p of quaternions given by their coordinates, by the
+    test-side Hamilton product: on undoubled inputs it returns x y / 2."""
+    return tuple(int(2 * v) % p for v in _hamilton(x, y))
+
+
+def quat_norm(p, x):
+    return sum(v * v for v in x) % p
+
+
+def mat_mul(p, m, n):
+    """The product mod p of two row-major 2x2 matrices."""
+    return ((m[0] * n[0] + m[1] * n[2]) % p, (m[0] * n[1] + m[1] * n[3]) % p,
+            (m[2] * n[0] + m[3] * n[2]) % p, (m[2] * n[1] + m[3] * n[3]) % p)
+
+
+def assert_phi_transports(p, g, d):
+    """phi of a product, a sum, a norm and a trace, by the test-side
+    references, and the round trip through _phi_inverse."""
+    rep = two_square_rep(p)
+    mg, md = phi(g, rep), phi(d, rep)
+    assert phi(QuotQuat(p, *quat_mul(p, g.coords, d.coords)), rep).entries == mat_mul(
+        p, mg.entries, md.entries)
+    sum_image = phi(QuotQuat(p, *(x + y for x, y in zip(g.coords, d.coords))), rep)
+    assert sum_image.entries == tuple((x + y) % p for x, y in zip(mg.entries, md.entries))
+    assert mg.det() == quat_norm(p, g.coords)
+    assert (mg.a1 + mg.a4) % p == 2 * g.c1 % p
+    assert _phi_inverse(p, rep.a, rep.b, *mg.entries) == g.coords
+
+
 # ------------------------------------------------------------------ reduction
 
 def test_reduce_scalar_multiple_of_p():
-    assert not reduce_mod(HurwitzInt.scalar(3), 3)
+    assert reduce_mod(HurwitzInt.scalar(3), 3).coords == (0, 0, 0, 0)
 
 
 def test_reduce_one_plus_i():
@@ -44,7 +74,7 @@ def test_reduce_omega_mod_3():
     # 2 is the inverse of 2 mod 3
     r = reduce_mod(OMEGA, 3)
     assert r.coords == (2, 2, 2, 2)
-    assert r.scale(2) == reduce_mod(make(2, 2, 2, 2), 3)
+    assert tuple(2 * v % 3 for v in r.coords) == reduce_mod(make(2, 2, 2, 2), 3).coords
 
 
 def test_reduce_rejects_p_two():
@@ -60,10 +90,11 @@ def test_reduce_is_ring_homomorphism():
             x = HurwitzInt(*(2 * rng.randint(-9, 9) + parity for _ in range(4)))
             parity = rng.randint(0, 1)
             y = HurwitzInt(*(2 * rng.randint(-9, 9) + parity for _ in range(4)))
-            assert reduce_mod(x * y, p) == reduce_mod(x, p) * reduce_mod(y, p)
-            assert reduce_mod(x + y, p) == reduce_mod(x, p) + reduce_mod(y, p)
-            assert reduce_mod(x, p).norm() == x.norm() % p
-            assert reduce_mod(x, p).trace() == x.trace() % p
+            rx, ry = reduce_mod(x, p).coords, reduce_mod(y, p).coords
+            assert reduce_mod(x * y, p).coords == quat_mul(p, rx, ry)
+            assert reduce_mod(x + y, p).coords == tuple((u + v) % p for u, v in zip(rx, ry))
+            assert quat_norm(p, rx) == x.norm() % p
+            assert 2 * rx[0] % p == x.trace() % p
 
 
 # ----------------------------------------------------------------- two-square
@@ -176,33 +207,29 @@ def test_phi_one_plus_i_mod_5():
 def test_phi_defining_relations():
     for p in ODD_PRIMES:
         rep = two_square_rep(p)
-        mi = phi(QuotQuat(p, 0, 1, 0, 0), rep)
-        mj = phi(QuotQuat(p, 0, 0, 1, 0), rep)
-        mk = phi(QuotQuat(p, 0, 0, 0, 1), rep)
-        minus_one = phi(QuotQuat(p, -1, 0, 0, 0), rep)
-        assert mi * mi == mj * mj == mk * mk == mi * mj * mk == minus_one
+        mi = phi(QuotQuat(p, 0, 1, 0, 0), rep).entries
+        mj = phi(QuotQuat(p, 0, 0, 1, 0), rep).entries
+        mk = phi(QuotQuat(p, 0, 0, 0, 1), rep).entries
+        minus_one = phi(QuotQuat(p, -1, 0, 0, 0), rep).entries
+        assert (mat_mul(p, mi, mi) == mat_mul(p, mj, mj) == mat_mul(p, mk, mk)
+                == mat_mul(p, mat_mul(p, mi, mj), mk) == minus_one)
 
 
 def test_phi_ring_homomorphism_and_transport():
     rng = random.Random(43)
     for p in ODD_PRIMES:
-        rep = two_square_rep(p)
         for _ in range(200):
-            g, d = rand_quot(rng, p), rand_quot(rng, p)
-            mg, md = phi(g, rep), phi(d, rep)
-            assert phi(g * d, rep) == mg * md
-            assert phi(g + d, rep) == mg + md
-            assert mg.det() == g.norm()
-            assert mg.trace() == g.trace()
+            assert_phi_transports(p, rand_quot(rng, p), rand_quot(rng, p))
 
 
 def test_phi_inv_round_trip():
+    # the closed-form inverse of the splitting, _phi_inverse
     rng = random.Random(47)
     for p in ODD_PRIMES:
         rep = two_square_rep(p)
         for _ in range(200):
             g = rand_quot(rng, p)
-            assert phi_inv(phi(g, rep), rep) == g
+            assert _phi_inverse(p, rep.a, rep.b, *phi(g, rep).entries) == g.coords
 
 
 _SMALL_ODD_PRIMES = odd_primes_up_to(199)
@@ -218,39 +245,25 @@ def _prime_and_pair(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_prime_and_pair())
 def test_phi_is_a_homomorphism_for_any_small_prime(case):
-    p, g, d = case
-    rep = two_square_rep(p)
-    mg, md = phi(g, rep), phi(d, rep)
-    assert phi(g * d, rep) == mg * md
-    assert phi(g + d, rep) == mg + md
-    assert mg.det() == g.norm()
-    assert mg.trace() == g.trace()
-    assert phi_inv(mg, rep) == g
+    assert_phi_transports(*case)
 
 
 def test_phi_inv_displays():
     for p in ODD_PRIMES:
         rep = two_square_rep(p)
-        assert phi_inv(FpMat2(p, 1, 0, 0, 1), rep) == QuotQuat(p, 1, 0, 0, 0)
-        assert phi_inv(FpMat2(p, 0, 1, -1, 0), rep) == QuotQuat(p, 0, 0, 1, 0)
+        assert _phi_inverse(p, rep.a, rep.b, 1, 0, 0, 1) == (1, 0, 0, 0)
+        assert _phi_inverse(p, rep.a, rep.b, 0, 1, p - 1, 0) == (0, 0, 1, 0)
 
 
 def test_phi_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
         phi(QuotQuat(3, 1, 0, 0, 0), two_square_rep(5))
-    with pytest.raises(ModulusMismatch):
-        phi_inv(FpMat2(3, 1, 0, 0, 1), two_square_rep(5))
 
 
 # ----------------------------------------------------------------- matrix ops
 
 def test_mat2_det_example():
     assert FpMat2(5, 1, -2, -2, 1).det() == 2  # 1 - 4 = -3 = 2 mod 5
-
-
-def test_mat2_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
-        FpMat2(3, 1, 0, 0, 1) * FpMat2(5, 1, 0, 0, 1)
 
 
 # ------------------------------------------------------------------- legendre
@@ -282,3 +295,4 @@ def test_legendre_completely_multiplicative():
         for _ in range(200):
             m, n = rng.randrange(-50, 50), rng.randrange(-50, 50)
             assert legendre(m * n, p) == legendre(m, p) * legendre(n, p)
+

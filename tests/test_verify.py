@@ -197,7 +197,8 @@ def test_a_projective_answer_outside_the_class_list_is_a_disagreement(monkeypatc
 # One fault per check, injected through a name in verify's namespace; each
 # check must report it with its exact message.
 
-_predict, _analyze, _phi = verify.predict, verify.analyze, verify.phi
+_predict, _analyze = verify.predict, verify.analyze
+_phi_entries, _phi_inverse = verify._phi_entries, verify._phi_inverse
 _order_count, _conic_points = verify.order_count, verify.conic_points
 
 
@@ -215,14 +216,14 @@ def _split_lengths(perm):
     return dataclasses.replace(_analyze(perm), uniform_length=False)
 
 
-def _doubled_phi(g, rep):
-    return _phi(g.scale(2), rep)
+def _doubled_phi(p, a, b, *g):
+    return _phi_entries(p, a, b, *(2 * v for v in g))
 
 
-def _doubled_phi_off_the_axes(g, rep):
+def _doubled_phi_off_the_axes(p, a, b, *g):
     # right on the basis and its multiples, so the defining relations hold
     # and the random pairs fail
-    return _doubled_phi(g, rep) if sum(map(bool, g.coords)) > 1 else _phi(g, rep)
+    return (_doubled_phi if sum(map(bool, g)) > 1 else _phi_entries)(p, a, b, *g)
 
 
 def _one_more_order(k, p):
@@ -240,9 +241,9 @@ def _one_point_short(p):
      "fixed-point mismatch p=3 Q=[-2, -2, 0, 0]: got 0, predicted 1"),
     ("analyze", _split_lengths, lambda: verify.verify_cycles(5, 5),
      "cycle-structure failure p=3 Q=[-2, -2, 0, 0]: fixed=0 lengths=[4]"),
-    ("phi", _doubled_phi, lambda: verify.verify_phi(5),
+    ("_phi_entries", _doubled_phi, lambda: verify.verify_phi(5),
      "defining relations fail at p=3"),
-    ("phi", _doubled_phi_off_the_axes, lambda: verify.verify_phi(5),
+    ("_phi_entries", _doubled_phi_off_the_axes, lambda: verify.verify_phi(5),
      "phi identity fails p=3 gamma=(0, 2, 2, 0) delta=(1, 2, 1, 2)"),
     ("order_count", _one_more_order, lambda: verify.verify_orders(5),
      "order census p=3 k=2: census 9, formula 10"),
@@ -254,3 +255,26 @@ def test_each_check_names_its_first_failure(monkeypatch, name, fault, check, mes
     report = check()
     assert not report.passed
     assert report.first_failures[0] == message
+
+
+def _flipped_third_entry(p, a, b, g1, g2, g3, g4):
+    # the bottom-left entry with +g3 where the splitting has -g3
+    m1, m2, _, m4 = _phi_entries(p, a, b, g1, g2, g3, g4)
+    return m1, m2, (g3 + g4 * a - g2 * b) % p, m4
+
+
+def _inverse_off_by_one(p, a, b, *m):
+    g1, g2, g3, g4 = _phi_inverse(p, a, b, *m)
+    return (g1 + 1) % p, g2, g3, g4
+
+
+@pytest.mark.parametrize("name,fault,failed", [
+    ("_phi_entries", _flipped_third_entry, 1900),
+    ("_phi_inverse", _inverse_off_by_one, 2000),
+], ids=["entry-sign", "inverse-off-by-one"])
+def test_verify_phi_fails_on_a_wrong_splitting_or_inverse(monkeypatch, name, fault, failed):
+    # 2 relation cases and 2 x 1,000 pairs at p = 3 and 5
+    assert verify.verify_phi(5).passed
+    monkeypatch.setattr(verify, name, fault)
+    report = verify.verify_phi(5)
+    assert (report.cases_failed, report.cases_run) == (failed, 2002)
