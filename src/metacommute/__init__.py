@@ -23,7 +23,7 @@ from metacommute.metacomm import (
     meta_conj,
     meta_divide,
     meta_permutation,
-    order_count,
+    order_counts,
     pgl2_order_census,
     predict,
 )
@@ -77,7 +77,7 @@ __all__ = [
     "meta_conj",
     "meta_divide",
     "meta_permutation",
-    "order_count",
+    "order_counts",
     "pgl2_act",
     "pgl2_order_census",
     "phi",

@@ -30,7 +30,7 @@ from metacommute.metacomm import (
     analyze,
     cycle_decomposition,
     meta_permutation,
-    order_count,
+    order_counts,
     predict,
 )
 from metacommute.modp import _phi_entries, two_square_rep
@@ -182,11 +182,7 @@ def cmd_predict(args):
 
 def cmd_orders(args):
     p = args.p
-    counts = {1: 1}
-    for k in range(2, p + 2):
-        n = order_count(k, p)
-        if n:
-            counts[k] = n
+    counts = order_counts(p)
     group_order = p * (p - 1) * (p + 1)
     total = sum(counts.values())
     payload = {

@@ -17,7 +17,6 @@ from math import gcd, lcm
 
 from metacommute.errors import (
     CoprimalityError,
-    DomainError,
     InternalInvariantViolation,
     ScaleLimit,
 )
@@ -30,7 +29,7 @@ from metacommute.geometry import (
     proj_table,
     trace_zero_rep,
 )
-from metacommute.modp import _legendre, _phi_entries, two_square_rep
+from metacommute.modp import _legendre, _phi_entries, _require_table_p, two_square_rep
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
@@ -217,36 +216,20 @@ def predict(query: MetaQuery) -> tuple[int, int]:
     return sign, 1 + _legendre(disc, query.p)
 
 
-def _totient(k: int) -> int:
-    result = k
-    n = k
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                n //= f
-            result -= result // f
-        f += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
-def order_count(k: int, p: int) -> int:
-    """Number of elements of order k > 1 in the projective group on p+1
-    points: phi(k) p(p-1)/2 for k | p+1, plus phi(k) p(p+1)/2 for k | p-1
-    (both branches apply at k = 2), and p^2 - 1 for k = p."""
-    if not isinstance(k, int) or k <= 1:
-        raise DomainError(f"order_count is defined for k > 1, an int, got {k!r}")
-    _require_odd_prime(p)
-    total = 0
-    if (p + 1) % k == 0:
-        total += _totient(k) * p * (p - 1) // 2
-    if (p - 1) % k == 0:
-        total += _totient(k) * p * (p + 1) // 2
-    if k == p:
-        total += p * p - 1
-    return total
+def order_counts(p: int) -> dict[int, int]:
+    """The element orders of the projective group on p+1 points, {order:
+    count} in ascending order. An element other than the identity fixes
+    f = 0, 1 or 2 points and lies in exactly one maximal cyclic subgroup, of
+    order m = p + 1 - f; there are p(p-1)/2, p+1 and p(p+1)/2 of those.
+    Element j of such a subgroup, 0 < j < m, has order m / gcd(j, m)."""
+    _require_table_p(p)
+    tally = {1: 1}
+    for f, subgroups in ((0, p * (p - 1) // 2), (1, p + 1), (2, p * (p + 1) // 2)):
+        m = p + 1 - f
+        for j in range(1, m):
+            k = m // gcd(j, m)
+            tally[k] = tally.get(k, 0) + subgroups
+    return dict(sorted(tally.items()))
 
 
 def pgl2_order_census(p: int) -> dict[int, int]:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from metacommute.geometry import conic_points, conic_to_prime, trace_zero_rep
-from metacommute.metacomm import MetaQuery, order_count, pgl2_order_census
+from metacommute.metacomm import MetaQuery, order_counts, pgl2_order_census
 from metacommute.quatcore import elements_of_norm, primes_of_norm
 from metacommute.verify import (
     odd_primes_up_to,
@@ -156,8 +156,9 @@ def test_criterion_7_order_census():
         census = pgl2_order_census(p)
         ok = ok and sum(census.values()) == p * (p - 1) * (p + 1)
         ok = ok and census.get(1) == 1
+        table = order_counts(p)
         for k in range(2, p + 2):
-            ok = ok and census.get(k, 0) == order_count(k, p)
+            ok = ok and census.get(k, 0) == table.get(k, 0)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     _report(

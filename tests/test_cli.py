@@ -204,8 +204,9 @@ _FAILURES = [
 
 
 def test_a_failing_verify_prints_each_failure(capsys, monkeypatch):
-    order_count = verify_mod.order_count
-    monkeypatch.setattr(verify_mod, "order_count", lambda k, p: order_count(k, p) + 1)
+    order_counts = verify_mod.order_counts
+    monkeypatch.setattr(verify_mod, "order_counts",
+                        lambda p: {k: n + 1 for k, n in order_counts(p).items()})
     assert main(["verify", "orders", "--p-max", "3"]) == 1
     out = re.sub(r", \d+\.\d\ds\)$", ", X.XXs)", capsys.readouterr().out, flags=re.M)
     assert out == "verify orders: FAIL  (4 cases, 3 failed, X.XXs)\n" + "".join(
@@ -244,6 +245,13 @@ def test_orders_totals(capsys):
     assert main(["orders", "--p", "11", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == payload["group_order"] == 11 * 10 * 12
+
+
+def test_orders_at_the_largest_prime_below_the_bound_is_quick(capsys, deadline):
+    # the table is counted by subgroup and proves p prime once
+    with deadline(0.3):
+        assert main(["orders", "--p", "99991", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 99991 * 99990 * 99992
 
 
 def test_verify_small_sweep_passes(capsys):

@@ -14,7 +14,6 @@ from metacommute.errors import (
     CoprimalityError,
     DomainError,
     InternalInvariantViolation,
-    MetacommuteError,
     ScaleLimit,
     SingularMatrix,
     UnsupportedPrime,
@@ -38,7 +37,7 @@ from metacommute.metacomm import (
     meta_conj,
     meta_divide,
     meta_permutation,
-    order_count,
+    order_counts,
     pgl2_order_census,
     predict,
 )
@@ -328,7 +327,8 @@ def test_tables_stop_above_the_largest_supported_p():
     # O(p) table refuses it before allocating, the table-free routes run
     p = 100_003
     Q = make(3, 1, 1, 1)
-    for build in (sqrt_table, inv_table, conic_points, two_square_rep, proj_table):
+    for build in (sqrt_table, inv_table, conic_points, two_square_rep, proj_table,
+                  order_counts):
         with pytest.raises(ScaleLimit):
             build(p)
     with pytest.raises(ScaleLimit):
@@ -634,26 +634,21 @@ def test_a_query_runs_the_odd_prime_guard_once(monkeypatch):
     lambda: pgl2_order_census(5.0),
     lambda: legendre(2, 7.0),
     lambda: reduce_mod(ONE_PLUS_I, 7.0),
-    lambda: order_count(2, 7.0),
-    lambda: order_count(2, "7"),
+    lambda: order_counts(7.0),
+    lambda: order_counts("7"),
+    lambda: order_counts(True),
     # the size bound runs before the guard and must not compare a str with an int
     lambda: primes_of_norm("7"),
     lambda: conic_points("7"),
     lambda: two_square_rep("7"),
     lambda: inv_table("7"),
 ], ids=["guard", "MetaQuery.create", "primes_of_norm", "pgl2_order_census",
-        "legendre", "reduce_mod", "order_count", "order_count_str", "primes_of_norm_str",
-        "conic_points_str", "two_square_rep_str", "inv_table_str"])
+        "legendre", "reduce_mod", "order_count", "order_count_str", "order_counts_bool",
+        "primes_of_norm_str", "conic_points_str", "two_square_rep_str", "inv_table_str"])
 def test_a_p_that_is_not_an_int_is_an_unsupported_prime(call):
     primes_of_norm(3)  # 3.0 must not be answered from the entry of 3
     with pytest.raises(UnsupportedPrime, match="odd rational prime"):
         call()
-
-
-@pytest.mark.parametrize("k", [2.0, 4.0, "2"])
-def test_order_count_rejects_a_k_that_is_not_an_int(k):
-    with pytest.raises(DomainError, match="defined for k > 1, an int"):
-        order_count(k, 7)
 
 
 @pytest.mark.parametrize("n", [1.5, 3.0, "3", True, None])
@@ -688,19 +683,15 @@ def test_predict_matches_analyze_for_every_composite_norm():
 # -------------------------------------------------------------- order counts
 
 def test_order_count_examples():
-    assert order_count(4, 3) == 6
-    assert order_count(3, 3) == 8   # k = p
-    assert order_count(2, 3) == 9   # both divisibility branches sum
-    assert order_count(5, 3) == 0
-    with pytest.raises(ValueError):
-        order_count(1, 3)
+    # order 2 gathers the involutions of the subgroups of order p+1 (f = 0)
+    # and of order p-1 (f = 2); order p holds the p+1 subgroups with f = 1
+    assert order_counts(3) == {1: 1, 2: 9, 3: 8, 4: 6}
 
 
-def test_order_count_rejects_k_below_two_with_a_typed_error():
-    for k in (1, 0, -4):
-        with pytest.raises(DomainError, match="defined for k > 1") as info:
-            order_count(k, 5)
-        assert isinstance(info.value, MetacommuteError) and isinstance(info.value, ValueError)
+def test_order_counts_at_a_huge_p_is_a_scale_limit_at_once(deadline):
+    # the bound runs before the primality test and before any loop over p
+    with deadline(0.5), pytest.raises(ScaleLimit):
+        order_counts(2**61 - 1)
 
 
 FROZEN_CENSUS = {
@@ -715,8 +706,9 @@ def test_census_frozen_and_matches_formula(p):
     census = pgl2_order_census(p)
     assert census == FROZEN_CENSUS[p]
     assert sum(census.values()) == p * (p - 1) * (p + 1)
+    table = order_counts(p)
     for k in range(2, p + 2):
-        assert census.get(k, 0) == order_count(k, p)
+        assert census.get(k, 0) == table.get(k, 0)
 
 
 @pytest.mark.parametrize("broken", [

@@ -199,7 +199,7 @@ def test_a_projective_answer_outside_the_class_list_is_a_disagreement(monkeypatc
 
 _predict, _analyze = verify.predict, verify.analyze
 _phi_entries, _phi_inverse = verify._phi_entries, verify._phi_inverse
-_order_count, _conic_points = verify.order_count, verify.conic_points
+_order_counts, _conic_points = verify.order_counts, verify.conic_points
 
 
 def _flipped_sign(query):
@@ -226,8 +226,8 @@ def _doubled_phi_off_the_axes(p, a, b, *g):
     return (_doubled_phi if sum(map(bool, g)) > 1 else _phi_entries)(p, a, b, *g)
 
 
-def _one_more_order(k, p):
-    return _order_count(k, p) + 1
+def _one_more_order(p):
+    return {k: n + 1 for k, n in _order_counts(p).items()}
 
 
 def _one_point_short(p):
@@ -245,7 +245,7 @@ def _one_point_short(p):
      "defining relations fail at p=3"),
     ("_phi_entries", _doubled_phi_off_the_axes, lambda: verify.verify_phi(5),
      "phi identity fails p=3 gamma=(0, 2, 2, 0) delta=(1, 2, 1, 2)"),
-    ("order_count", _one_more_order, lambda: verify.verify_orders(5),
+    ("order_counts", _one_more_order, lambda: verify.verify_orders(5),
      "order census p=3 k=2: census 9, formula 10"),
     ("conic_points", _one_point_short, lambda: verify.verify_counting(5),
      "count mismatch p=3: 4 classes, 3 conic points"),
