@@ -20,6 +20,7 @@ from metacommute.metacomm import (
     PermReport,
     analyze,
     cycle_decomposition,
+    cycle_length,
     meta_conj,
     meta_divide,
     meta_permutation,
@@ -68,6 +69,7 @@ __all__ = [
     "conic_to_prime",
     "conic_to_proj",
     "cycle_decomposition",
+    "cycle_length",
     "elements_of_norm",
     "gcrd",
     "is_prime",

@@ -18,43 +18,24 @@ import os
 import sys
 
 from metacommute import verify as verify_mod
-from metacommute.errors import (
-    InternalInvariantViolation,
-    MetacommuteError,
-    ParseError,
-    UnsupportedPrime,
-)
+from metacommute.errors import InternalInvariantViolation, MetacommuteError, ParseError, _echo
 from metacommute.geometry import conic_points
 from metacommute.metacomm import (
     MetaQuery,
     analyze,
     cycle_decomposition,
+    cycle_length,
     meta_permutation,
     order_counts,
     predict,
 )
 from metacommute.modp import _phi_entries, two_square_rep
-from metacommute.quatcore import (
-    _P_MAX,
-    HurwitzInt,
-    _require_odd_prime,
-    primes_of_norm,
-)
+from metacommute.quatcore import HurwitzInt, primes_of_norm
 
 # the largest |doubled coordinate| of a --Q literal: it keeps N(Q) <= 2^28,
 # so the coprimality gcd, predict's Legendre symbols and the reduction mod p
 # work on small ints
 _COORD_LIMIT = 1 << 14
-
-
-# the most characters of an input that an error message echoes
-_ECHO_MAX = 40
-
-
-def _echo(text: str) -> str:
-    """text as an error message quotes it: cut to _ECHO_MAX characters and
-    "..." when longer, so a huge input gives a short error line."""
-    return text if len(text) <= _ECHO_MAX else text[:_ECHO_MAX] + "..."
 
 
 def parse_quat(text: str) -> HurwitzInt:
@@ -96,19 +77,6 @@ def _int(value: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(value)!r}") from None
 
 
-def _odd_prime(value: str) -> int:
-    p = _int(value)
-    if p > _P_MAX:
-        raise argparse.ArgumentTypeError(
-            f"{_echo(str(p))} is above the largest supported p, {_P_MAX}"
-        )
-    try:
-        _require_odd_prime(p)
-    except UnsupportedPrime:
-        raise argparse.ArgumentTypeError(f"{_echo(str(p))} is not an odd prime") from None
-    return p
-
-
 def cmd_primes(args):
     classes = primes_of_norm(args.p)
     payload = [{"class_rep": list(P.rep.coeffs), "p": P.p} for P in classes]
@@ -136,6 +104,7 @@ def _query(args):
         "central": query.central,
         "predicted_sign": sign,
         "predicted_fixed": fixed,
+        "predicted_length": cycle_length(query),
     }
     head = (f"p={query.p} q={query.q} Q={fields['Q']} "
             f"central={'yes' if query.central else 'no'}")
@@ -150,7 +119,9 @@ def cmd_permute(args):
     # the doubled coordinates give the matrix of 2Q, halved here to Q's
     matrix = [v * (p + 1) // 2 % p for v in _phi_entries(p, rep.a, rep.b, *query.Q.coeffs)]
     psign, pfixed = payload["predicted_sign"], payload["predicted_fixed"]
-    ok = report.sign == psign and report.fixed_count == pfixed
+    plength = payload["predicted_length"]
+    ok = (report.sign == psign and report.fixed_count == pfixed
+          and all(n == plength for n in report.cycle_lengths))
     payload |= {
         "matrix": matrix,  # row-major image of Q mod p
         "ground": [str(c) for c in perm.ground],
@@ -169,14 +140,16 @@ def cmd_permute(args):
         f"cycles:  {payload['cycles']}",
         f"sign={report.sign} fixed={report.fixed_count} "
         f"cycle_lengths={payload['cycle_lengths']}  "
-        f"(predicted sign={psign} fixed={pfixed}; {'match' if ok else 'MISMATCH'})",
+        f"(predicted sign={psign} fixed={pfixed} length={plength}; "
+        f"{'match' if ok else 'MISMATCH'})",
     ]
     return (0 if ok else 1), payload, lines
 
 
 def cmd_predict(args):
     _, payload, head = _query(args)
-    line = f"{head}: sign={payload['predicted_sign']} fixed={payload['predicted_fixed']}"
+    line = (f"{head}: sign={payload['predicted_sign']} fixed={payload['predicted_fixed']} "
+            f"length={payload['predicted_length']}")
     return 0, payload, [line]
 
 
@@ -244,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("primes", cmd_primes, "list the prime classes of norm p"),
         ("conic", cmd_conic, "list the conic points mod p"),
         ("permute", cmd_permute, "the permutation induced by Q on norm-p classes"),
-        ("predict", cmd_predict, "predicted sign and fixed points (N(Q) coprime to p)"),
+        ("predict", cmd_predict, "predicted sign, fixed points and cycle length"),
         ("orders", cmd_orders, "element-order counts in the projective group"),
     )
     for name, func, text in commands:
         sp = sub.add_parser(name, help=text)
-        sp.add_argument("--p", type=_odd_prime, required=True)
+        sp.add_argument("--p", type=_int, required=True)
         if func in (cmd_permute, cmd_predict):
             sp.add_argument("--Q", required=True, metavar="[A,B,C,D]",
                             help="doubled-coordinate quaternion literal")

@@ -1,5 +1,14 @@
 """Exception types raised across the package."""
 
+# the most characters of an input that an error message echoes
+_ECHO_MAX = 40
+
+
+def _echo(text: str) -> str:
+    """text as an error message quotes it: cut to _ECHO_MAX characters and
+    "..." when longer, so a huge input gives a short error line."""
+    return text if len(text) <= _ECHO_MAX else text[:_ECHO_MAX] + "..."
+
 
 class MetacommuteError(Exception):
     """Base class for all errors raised by this package."""

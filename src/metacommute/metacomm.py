@@ -12,15 +12,16 @@ All three agree; the verification sweeps check that exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm
 
 from metacommute.errors import (
     CoprimalityError,
     InternalInvariantViolation,
-    ScaleLimit,
 )
 from metacommute.geometry import (
+    _CACHED_POINTS,
     ConicPoint,
     _act,
     _conjugate,
@@ -29,10 +30,12 @@ from metacommute.geometry import (
     proj_table,
     trace_zero_rep,
 )
-from metacommute.modp import _legendre, _phi_entries, _require_table_p, two_square_rep
+from metacommute.modp import _legendre, _phi_entries, two_square_rep
 from metacommute.quatcore import (
+    _P_MAX,
     HurwitzInt,
     PrimeClass,
+    _is_rational_prime,
     _require_odd_prime,
 )
 
@@ -216,13 +219,78 @@ def predict(query: MetaQuery) -> tuple[int, int]:
     return sign, 1 + _legendre(disc, query.p)
 
 
+def cycle_length(query: MetaQuery) -> int:
+    """The length of every non-fixed cycle: the order of the image A of Q in
+    the projective group, 1 for a central Q.
+
+    With s = tr(Q)^2 q^-1 - 2 mod p, the ratio r of A's eigenvalues has
+    r + 1/r = s. When s = 2, r = 1 and A, not scalar, has order p. Else the
+    order is that of r: the least k with V_k = r^k + r^-k = 2, where
+    V_0 = 2, V_1 = s and V_{k+1} = s V_k - V_{k-1} mod p."""
+    if query.central:
+        return 1
+    p = query.p
+    s = (query.Q.trace() ** 2 * pow(query.q, -1, p) - 2) % p
+    return p if s == 2 else _ratio_order(s, p)
+
+
+@lru_cache(maxsize=_CACHED_POINTS)
+def _ratio_order(s: int, p: int) -> int:
+    """The least k >= 1 with V_k = 2 mod p, for s != 2, in O(log p)^2 steps
+    once p - 1 or p + 1 is factored, where a walk of the recurrence takes up
+    to p. r lies in F_p when s^2 - 4 is a square mod p, and has norm 1 in
+    F_{p^2} when it is not, so k divides n = p - 1 or p + 1: strip each
+    prime factor l of n while V_{k/l} stays 2."""
+    k = p - 1 if _legendre(s * s - 4, p) >= 0 else p + 1
+    for ell in _prime_factors(k):
+        while k % ell == 0 and _lucas_v(s, k // ell, p) == 2:
+            k //= ell
+    return k
+
+
+def _lucas_v(s: int, m: int, p: int) -> int:
+    """V_m mod p, by the ladder V_2k = V_k^2 - 2, V_2k+1 = V_k V_k+1 - s."""
+    v, w = 2, s  # V_k, V_k+1 at k = 0
+    for bit in bin(m)[2:]:
+        if bit == "1":
+            v, w = (v * w - s) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - s) % p
+    return v
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The distinct primes of an n with 1 <= n < _PSI13. Pollard's rho splits
+    each odd composite: its least prime factor is below sqrt(_PSI13), about
+    1.8 * 10^12, which rho finds in about 10^6 steps (about 1 s on one core,
+    Python 3.11)."""
+    found, rest = set(), [n]
+    while rest:
+        m = rest.pop()
+        if _is_rational_prime(m):
+            found.add(m)
+        elif m % 2 == 0:
+            rest += (2, m // 2)
+        elif m > 1:
+            d, c = m, 0
+            while d == m:  # x -> x^2 + c, Floyd's cycle test, c = 1, 2, ...
+                c, x, y, d = c + 1, 2, 2, 1
+                while d == 1:
+                    x = (x * x + c) % m
+                    y = (y * y + c) % m
+                    y = (y * y + c) % m
+                    d = gcd(x - y, m)
+            rest += (d, m // d)
+    return found
+
+
 def order_counts(p: int) -> dict[int, int]:
     """The element orders of the projective group on p+1 points, {order:
     count} in ascending order. An element other than the identity fixes
     f = 0, 1 or 2 points and lies in exactly one maximal cyclic subgroup, of
     order m = p + 1 - f; there are p(p-1)/2, p+1 and p(p+1)/2 of those.
     Element j of such a subgroup, 0 < j < m, has order m / gcd(j, m)."""
-    _require_table_p(p)
+    _require_odd_prime(p, _P_MAX)
     tally = {1: 1}
     for f, subgroups in ((0, p * (p - 1) // 2), (1, p + 1), (2, p * (p + 1) // 2)):
         m = p + 1 - f
@@ -235,9 +303,7 @@ def order_counts(p: int) -> dict[int, int]:
 def pgl2_order_census(p: int) -> dict[int, int]:
     """Element orders of the full projective group, by brute enumeration of
     all p(p-1)(p+1) matrices mod scalars acting on P^1(F_p)."""
-    _require_odd_prime(p)
-    if p > _CENSUS_MAX_P:
-        raise ScaleLimit(f"census enumerates the full group only for p <= {_CENSUS_MAX_P}")
+    _require_odd_prime(p, _CENSUS_MAX_P)
     points = range(p + 1)  # every key of P^1(F_p) is its own position
     rs = range(p)
     tally: dict[int, int] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from metacommute.errors import DomainError, ModulusMismatch, ScaleLimit
+from metacommute.errors import DomainError, ModulusMismatch
 from metacommute.quatcore import _CACHED_TABLES, _P_MAX, HurwitzInt, _require_odd_prime
 
 
@@ -73,18 +73,11 @@ class TwoSquareRep:
     b: int
 
 
-def _require_table_p(p: int) -> None:
-    """The guard of the O(p) tables under every per-p build, before they allocate."""
-    if isinstance(p, int) and p > _P_MAX:
-        raise ScaleLimit(f"tables mod p are built only for p <= {_P_MAX}")
-    _require_odd_prime(p)
-
-
 def sqrt_table(p: int) -> tuple[int, ...]:
     """For each residue t mod p, its least square root r >= 0, or -1 when t
     is not a square mod p. Not cached: its callers conic_points and
     two_square_rep are, and a cache here would keep every table alive."""
-    _require_table_p(p)
+    _require_odd_prime(p, _P_MAX)
     roots = [-1] * p
     # r and p - r share a square, so the least roots are 0 .. (p-1)/2, and
     # their squares are distinct
@@ -96,7 +89,7 @@ def sqrt_table(p: int) -> tuple[int, ...]:
 @lru_cache(maxsize=_CACHED_TABLES)
 def inv_table(p: int) -> tuple[int, ...]:
     """For each residue x mod p, its inverse mod p (entry 0 is an unused 0)."""
-    _require_table_p(p)
+    _require_odd_prime(p, _P_MAX)
     inv = [0, 1] + [0] * (p - 2)
     # p = (p // x) x + p % x gives x^-1 = -(p // x) (p % x)^-1, and
     # 0 < p % x < x, so each entry needs only an earlier one

@@ -27,6 +27,7 @@ from metacommute.errors import (
     ScaleLimit,
     UnsupportedPrime,
     ZeroInput,
+    _echo,
 )
 
 # primes_of_norm and elements_of_norm share one walk of the canonical-rep
@@ -230,12 +231,18 @@ def canonical_rep(h: HurwitzInt) -> HurwitzInt:
 # below this bound primality is decided by trial division, above it by
 # Miller-Rabin; every p and q of the supported sweeps lies below it
 _TRIAL_DIVISION_BOUND = 10**6
-# the first 13 primes: Miller-Rabin to these bases is exact for
-# n < 3.3 * 10^24 (Sorenson & Webster 2015)
+# the first 13 primes: Miller-Rabin to these bases is exact below _PSI13,
+# the least strong pseudoprime to all of them, 1,287,836,182,261 x
+# 2,575,672,364,521 (Sorenson & Webster 2015)
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3_317_044_064_679_887_385_961_981
 
 
 def _is_rational_prime(n: int) -> bool:
+    """Whether n is a rational prime, proved: an n from _PSI13 up, where the
+    test proves nothing, is a ScaleLimit."""
+    if n >= _PSI13:
+        raise ScaleLimit(f"primality is proved only below {_PSI13}")
     if n < 2:
         return False
     if n < 4:
@@ -270,11 +277,15 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _require_odd_prime(p: int) -> None:
-    """The package's one odd-prime guard: the mod-p machinery needs p odd and
-    prime, because 2 must be invertible and the conic must not degenerate."""
+def _require_odd_prime(p: int, limit: int | None = None) -> None:
+    """The package's one guard on p: the mod-p machinery needs p odd and
+    prime, because 2 must be invertible and the conic must not degenerate.
+    A build whose size grows with p passes its limit: an int p above it is a
+    ScaleLimit, prime or not, before the primality test runs."""
+    if limit is not None and isinstance(p, int) and p > limit:
+        raise ScaleLimit(f"this computation takes p only up to {limit}")
     if not isinstance(p, int) or p == 2 or not _is_rational_prime(p):
-        raise UnsupportedPrime(f"expected an odd rational prime, got {p!r}")
+        raise UnsupportedPrime(f"expected an odd rational prime, got {_echo(repr(p))}")
 
 
 def _norm_p_factor(h: tuple[int, int, int, int], p: int) -> tuple[int, int, int, int]:
@@ -406,9 +417,5 @@ def elements_of_norm(n: int) -> tuple[HurwitzInt, ...]:
 def primes_of_norm(p: int) -> tuple[PrimeClass, ...]:
     """The p+1 left-associate classes of Hurwitz primes of odd prime norm p,
     sorted lexicographically by canonical representative."""
-    # the size bound runs before the primality test, which is slow far above
-    # it; a p that is not an int falls through to the guard
-    if isinstance(p, int) and p > _PRIMES_MAX_P:
-        raise ScaleLimit(f"prime classes are enumerated only for p <= {_PRIMES_MAX_P}")
-    _require_odd_prime(p)
+    _require_odd_prime(p, _PRIMES_MAX_P)
     return tuple(PrimeClass._unchecked(HurwitzInt._wrap(t), p) for t in _canonical_reps(p))

@@ -20,6 +20,7 @@ from metacommute.metacomm import (
     _CENSUS_MAX_P,
     MetaQuery,
     analyze,
+    cycle_length,
     meta_conj,
     meta_permutation,
     order_counts,
@@ -178,16 +179,13 @@ def _fixed_case(query, rep):
 
 
 def _cycle_case(query, rep):
-    p = query.p
-    ok = rep.uniform_length
-    if ok and rep.cycle_lengths:
-        divisor_of = {0: p + 1, 1: p, 2: p - 1}
-        ok = rep.fixed_count in divisor_of and (
-            divisor_of[rep.fixed_count] % rep.cycle_lengths[0] == 0
-        )
+    k = cycle_length(query)
+    moving = query.p + 1 - rep.fixed_count
+    # every moving point lies on a k-cycle, and only the identity moves none
+    ok = rep.cycle_lengths == (k,) * (moving // k) if moving else k == 1
     return None if ok else (
-        f"cycle-structure failure p={p} Q={list(query.Q.coeffs)}: "
-        f"fixed={rep.fixed_count} lengths={list(rep.cycle_lengths)}"
+        f"cycle-structure failure p={query.p} Q={list(query.Q.coeffs)}: "
+        f"fixed={rep.fixed_count} lengths={list(rep.cycle_lengths)}, predicted length {k}"
     )
 
 
@@ -203,8 +201,8 @@ def verify_fixed(p_max: int = 13, q_max: int = 13) -> VerifyReport:
 
 
 def verify_cycles(p_max: int = 13, q_max: int = 13) -> VerifyReport:
-    """All non-fixed cycles share one length; that length divides p+1, p or
-    p-1 according to fixed-point count 0, 1 or 2."""
+    """Every non-fixed cycle has the predicted length cycle_length(query),
+    the order of Q's image in the projective group."""
     return _theorem("verify_cycles", p_max, q_max, _cycle_case)
 
 

@@ -141,7 +141,7 @@ def test_criterion_6_cycle_theorem():
     ok = report.passed and report.cases_run == _expected_queries()
     _report(
         6,
-        "non-fixed cycles share one length dividing p+1, p or p-1 per fixed count",
+        "every non-fixed cycle has the predicted length, the order of Q mod p",
         ok,
         f" ({report.cases_run} cases, {report.elapsed:.2f}s)",
     )

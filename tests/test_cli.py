@@ -9,14 +9,15 @@ import pytest
 
 from metacommute import cli
 from metacommute import verify as verify_mod
-from metacommute.cli import _P_MAX, main, parse_quat
+from metacommute.cli import main, parse_quat
 from metacommute.errors import (
     InternalInvariantViolation,
     MetacommuteError,
     ParityError,
     ParseError,
 )
-from metacommute.quatcore import _PRIMES_MAX_P, OMEGA, ONE, _is_rational_prime
+from metacommute.modp import legendre
+from metacommute.quatcore import _P_MAX, _PRIMES_MAX_P, _PSI13, OMEGA, ONE, _is_rational_prime
 
 
 # -------------------------------------------------------------------- parsing
@@ -67,10 +68,9 @@ def test_permute_ok(capsys):
     assert all(0 <= v < 3 for v in payload["matrix"])
 
 
-def test_permute_requires_odd_prime_p():
-    with pytest.raises(SystemExit) as exc:
-        main(["permute", "--p", "4", "--Q", "[2,0,0,0]"])
-    assert exc.value.code == 2
+def test_permute_requires_odd_prime_p(capsys):
+    assert main(["permute", "--p", "4", "--Q", "[2,0,0,0]"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_permute_parity_error_is_usage_error(capsys):
@@ -85,7 +85,7 @@ def test_permute_coprimality_is_usage_error(capsys):
 def test_predict_composite_norm_prints_the_prediction(capsys):
     # N(Q) = 4 is coprime to p = 3, which is all the predictions need
     assert main(["predict", "--p", "3", "--Q", "[2,2,2,2]"]) == 0
-    assert capsys.readouterr().out.endswith(": sign=1 fixed=1\n")
+    assert capsys.readouterr().out.endswith(": sign=1 fixed=1 length=3\n")
 
 
 @pytest.mark.parametrize("command", ["permute", "predict"])
@@ -154,17 +154,18 @@ EXACT_OUTPUT = {
         "ground:  1:1:1  1:1:2  1:2:1  1:2:2\n"
         "images:  [1, 3, 0, 2]\n"
         "cycles:  (0 1 3 2)\n"
-        "sign=-1 fixed=0 cycle_lengths=[4]  (predicted sign=-1 fixed=0; match)\n",
+        "sign=-1 fixed=0 cycle_lengths=[4]  (predicted sign=-1 fixed=0 length=4; match)\n",
         {"Q": [2, 2, 0, 0], "central": False, "cycle_lengths": [4], "cycles": "(0 1 3 2)",
          "fixed": 0, "ground": ["1:1:1", "1:1:2", "1:2:1", "1:2:2"], "images": [1, 3, 0, 2],
          "matrix": [2, 2, 2, 0], "p": 3, "pass": True, "predicted_fixed": 0,
-         "predicted_sign": -1, "q": 2, "sign": -1, "uniform_length": True},
+         "predicted_length": 4, "predicted_sign": -1, "q": 2, "sign": -1,
+         "uniform_length": True},
     ),
     "predict": (
         ["predict", "--p", "5", "--Q", "[2,2,0,0]"],
-        "p=5 q=2 Q=[2, 2, 0, 0] central=no: sign=-1 fixed=2\n",
+        "p=5 q=2 Q=[2, 2, 0, 0] central=no: sign=-1 fixed=2 length=4\n",
         {"Q": [2, 2, 0, 0], "central": False, "p": 5, "predicted_fixed": 2,
-         "predicted_sign": -1, "q": 2},
+         "predicted_length": 4, "predicted_sign": -1, "q": 2},
     ),
     "orders": (
         ["orders", "--p", "5"],
@@ -333,7 +334,7 @@ def test_permute_composite_norm_matches_its_prediction(capsys):
     assert payload["predicted_fixed"] == payload["fixed"] == 1
     assert payload["pass"] is True
     assert main(["permute", "--p", "3", "--Q", "[2,2,2,2]"]) == 0
-    assert "(predicted sign=1 fixed=1; match)" in capsys.readouterr().out
+    assert "(predicted sign=1 fixed=1 length=3; match)" in capsys.readouterr().out
 
 
 def _next_prime(n):
@@ -372,6 +373,34 @@ def test_p_above_its_bound_is_a_quick_usage_error(args):
     assert b"error:" in result.stderr
     # the error echoes the start of p, not all of it
     assert len(result.stderr) < 300
+
+
+# the bound on p of each command that builds a per-p table; predict builds none
+_P_BOUND = {"primes": _PRIMES_MAX_P, "conic": _P_MAX, "permute": _P_MAX,
+            "predict": None, "orders": _P_MAX}
+_BAD_P = [(command, p) for command, bound in _P_BOUND.items()
+          for p in ["4", "9", "1" + "0" * 4000, "-1" + "0" * 4000, str(_PSI13)]
+          + ([str(_next_prime(bound))] if bound else [])]
+
+
+@pytest.mark.parametrize("command,p", _BAD_P, ids=[f"{c}-{p[:12]}" for c, p in _BAD_P])
+def test_a_bad_p_is_a_short_usage_error(capsys, command, p):
+    argv = [command, "--p", p]
+    if command in ("permute", "predict"):
+        argv += ["--Q", "[2,2,0,0]"]
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 300
+
+
+def test_predict_takes_a_p_above_the_table_bound(capsys):
+    assert main(["predict", "--p", "1000003", "--Q", "[2,2,0,0]", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["p"], payload["predicted_sign"], payload["predicted_length"]) == (
+        1_000_003, legendre(2, 1_000_003), 4)
 
 
 def test_a_reader_that_quits_early_gets_no_traceback(deadline):

@@ -34,6 +34,7 @@ from metacommute.metacomm import (
     Permutation,
     analyze,
     cycle_decomposition,
+    cycle_length,
     meta_conj,
     meta_divide,
     meta_permutation,
@@ -55,6 +56,7 @@ from metacommute.modp import (
 from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
+    _PSI13,
     _is_rational_prime,
     canonical_rep,
     elements_of_norm,
@@ -606,6 +608,101 @@ def test_predict_p5_q2():
     assert predict(MetaQuery.create(5, ONE_PLUS_I)) == (-1, 2)
 
 
+def _walk_length(query):
+    """The least k >= 1 with V_k = 2, by the recurrence itself: V_0 = 2,
+    V_1 = s, V_{k+1} = s V_k - V_{k-1} mod p; p when s = 2, 1 if central."""
+    p = query.p
+    if query.central:
+        return 1
+    s = (query.Q.trace() ** 2 * pow(query.q, -1, p) - 2) % p
+    if s == 2:
+        return p
+    v0, v1, k = 2, s, 1
+    while v1 != 2:
+        v0, v1, k = v1, (s * v1 - v0) % p, k + 1
+    return k
+
+
+def _power_is_central(p, Q, k):
+    """Whether Q^k is central mod p, by the test-side product quat_mul on
+    the doubled coordinates (2Q has the same powers up to a scalar)."""
+    result, base = (1, 0, 0, 0), Q.coeffs
+    while k:
+        if k & 1:
+            result = quat_mul(p, result, base)
+        base = quat_mul(p, base, base)
+        k >>= 1
+    return not any(result[1:])
+
+
+def test_cycle_length_follows_the_recurrence_at_small_and_large_p():
+    # every Q of norm up to 12 at the odd p <= 13, composite norms included
+    count = 0
+    for p in odd_primes_up_to(13):
+        for n in range(1, 13):
+            if n % p == 0:
+                continue
+            for Q in elements_of_norm(n):
+                query = MetaQuery.create(p, Q)
+                assert cycle_length(query) == _walk_length(query), (p, Q)
+                count += 1
+    assert count == 5_952
+    # past the table bound the walk still ends, within p + 1 steps
+    for Q in (ONE_PLUS_I, make(1, 1, 1, 1), make(3, 1, 1, 1), make(5, -3, 7, 1),
+              make(0, 2, 2, 0), make(7, 1, 3, 5)):
+        query = MetaQuery.create(100_003, Q)
+        assert cycle_length(query) == _walk_length(query), Q
+
+
+def test_cycle_length_cases():
+    assert cycle_length(MetaQuery.create(3, TWO_PLUS_3I)) == 1  # central mod 3
+    assert cycle_length(MetaQuery.create(5, ONE_PLUS_I)) == 4
+    # tr(Q) = 0: the eigenvalue ratio is -1, an involution
+    assert cycle_length(MetaQuery.create(7, make(0, 2, 2, 0))) == 2
+    # tr(Q)^2 = 4q mod p with Q not central: one fixed point, one p-cycle
+    parabolic = 0
+    for p in odd_primes_up_to(13):
+        for Q in elements_of_norm(13 if p != 13 else 11):
+            query = MetaQuery.create(p, Q)
+            if not query.central and predict(query)[1] == 1:
+                assert cycle_length(query) == p
+                parabolic += 1
+    assert parabolic == 224
+
+
+def test_prime_factors_lists_each_prime_once():
+    for n in range(1, 3000):
+        want = {f for f in range(2, n + 1) if n % f == 0 and _is_rational_prime(f)}
+        assert metacomm._prime_factors(n) == want, n
+    # prime powers, and factors that rho must split far above trial division
+    for n, want in ((3 ** 50, {3}), (1009 ** 2, {1009}), (1009 * 1_000_003, {1009, 1_000_003}),
+                    (6 * (2 ** 61 - 1), {2, 3, 2 ** 61 - 1}),
+                    (1_000_003 * 1_000_033 * 8, {2, 1_000_003, 1_000_033})):
+        assert metacomm._prime_factors(n) == want, n
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 3_317_044_064_679_887_385_961_813],
+                         ids=["2^61-1", "largest-below-psi13"])
+def test_cycle_length_at_a_huge_p_is_quick_and_exact(deadline, p):
+    for Q in (ONE_PLUS_I, make(1, 1, 1, 1), make(3, 1, 1, 1), make(5, -3, 7, 1)):
+        query = MetaQuery.create(p, Q)
+        with deadline(2):
+            k = cycle_length(query)
+        assert (p - 1) % k == 0 or (p + 1) % k == 0
+        assert _power_is_central(p, Q, k)
+        # no proper divisor works; both p - 1 and p + 1 of 2^61 - 1 are
+        # smooth, so trial division lists the primes of k
+        if p == 2 ** 61 - 1:
+            rest, primes = k, []
+            for f in range(2, 2000):
+                if rest % f == 0:
+                    primes.append(f)
+                    while rest % f == 0:
+                        rest //= f
+            assert rest == 1
+            assert not any(_power_is_central(p, Q, k // f) for f in primes)
+
+
 def test_a_query_runs_the_odd_prime_guard_once(monkeypatch):
     # MetaQuery.create checks p; predict's two symbols do not check it again
     guard = metacomm._require_odd_prime
@@ -648,6 +745,18 @@ def test_a_query_runs_the_odd_prime_guard_once(monkeypatch):
 def test_a_p_that_is_not_an_int_is_an_unsupported_prime(call):
     primes_of_norm(3)  # 3.0 must not be answered from the entry of 3
     with pytest.raises(UnsupportedPrime, match="odd rational prime"):
+        call()
+
+
+# _PSI13, the least strong pseudoprime to the bases of the primality test,
+# which the test would call prime
+@pytest.mark.parametrize("call", [
+    lambda: MetaQuery.create(_PSI13, ONE_PLUS_I),
+    lambda: legendre(2, _PSI13),
+    lambda: metacomm._require_odd_prime(_PSI13),
+], ids=["MetaQuery.create", "legendre", "guard"])
+def test_a_p_at_the_least_pseudoprime_is_a_scale_limit(call):
+    with pytest.raises(ScaleLimit):
         call()
 
 
@@ -728,3 +837,6 @@ def test_census_fails_with_a_broken_action(monkeypatch, deadline, broken):
 def test_census_scale_limit():
     with pytest.raises(ScaleLimit):
         pgl2_order_census(17)
+    # the bound runs before the primality test, so a composite above it too
+    with pytest.raises(ScaleLimit):
+        pgl2_order_census(15)

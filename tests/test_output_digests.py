@@ -11,7 +11,13 @@ it does not depend on how values print.
 import hashlib
 
 from metacommute.cli import main
-from metacommute.metacomm import MetaQuery, meta_permutation, order_counts
+from metacommute.metacomm import (
+    MetaQuery,
+    analyze,
+    cycle_length,
+    meta_permutation,
+    order_counts,
+)
 from metacommute.quatcore import primes_of_norm
 from metacommute.verify import odd_primes_up_to, sweep_queries
 
@@ -29,9 +35,17 @@ def test_every_permutation_at_p_q_up_to_31_is_unchanged():
     digest = hashlib.sha256()
     count = 0
     for p, Q in sweep_queries(31, 31):
-        images = meta_permutation(MetaQuery.create(p, Q)).images
+        query = MetaQuery.create(p, Q)
+        perm = meta_permutation(query)
+        images = perm.images
         digest.update(f"{p} {Q.coeffs} {images}\n".encode())
         count += 1
+        # the cycle type is the predicted one: every moving point on a cycle
+        # of the predicted length, which is 1 exactly for a central Q
+        report = analyze(perm)
+        k = cycle_length(query)
+        assert report.cycle_lengths == (k,) * ((p + 1 - report.fixed_count) // k), (p, Q)
+        assert (k == 1) == query.central, (p, Q)
     assert count == 36528
     assert digest.hexdigest() == PERMUTATIONS_31
 

@@ -30,6 +30,7 @@ from metacommute.quatcore import (
     HurwitzInt,
     PrimeClass,
     _PRIMES_MAX_P,
+    _PSI13,
     _TRIAL_DIVISION_BOUND,
     _canonical_reps,
     _is_rational_prime,
@@ -342,9 +343,33 @@ def test_pseudoprimes_are_not_primes(n):
 
 
 def test_huge_primes_are_primes():
-    for n in (2 ** 61 - 1, 2 ** 89 - 1, 1_000_003):
+    for n in (2 ** 61 - 1, 1_000_003):
         assert _is_rational_prime(n)
     assert not _is_rational_prime((2 ** 31 - 1) * 1_000_003)
+    # above the least pseudoprime of the bases the test proves nothing
+    with pytest.raises(ScaleLimit):
+        _is_rational_prime(2 ** 89 - 1)
+
+
+# the least strong pseudoprime to the first 13 prime bases (Sorenson &
+# Webster 2015): Miller-Rabin to those bases calls it prime
+PSI13 = 1_287_836_182_261 * 2_575_672_364_521
+
+
+def test_primality_stops_at_the_least_pseudoprime_of_its_bases():
+    assert _PSI13 == PSI13 == 3_317_044_064_679_887_385_961_981
+    for n in (PSI13, PSI13 + 2, 10 ** 4000):
+        with pytest.raises(ScaleLimit):
+            _is_rational_prime(n)
+    # the norm of the scalar PSI13 is its square
+    with pytest.raises(ScaleLimit):
+        is_prime(HurwitzInt.scalar(PSI13))
+    with pytest.raises(ScaleLimit):
+        PrimeClass.of(HurwitzInt.scalar(PSI13))
+    with pytest.raises(ScaleLimit):
+        PrimeClass(ONE, PSI13)
+    # below it the test still answers
+    assert _is_rational_prime(PSI13 - 1) is False
 
 
 def test_miller_rabin_agrees_with_trial_division():

@@ -213,7 +213,10 @@ def _one_more_fixed(query):
 
 
 def _split_lengths(perm):
-    return dataclasses.replace(_analyze(perm), uniform_length=False)
+    # each non-fixed cycle of even length read as two of half that length
+    report = _analyze(perm)
+    halves = sum(((n // 2, n // 2) if n % 2 == 0 else (n,) for n in report.cycle_lengths), ())
+    return dataclasses.replace(report, cycle_lengths=halves)
 
 
 def _doubled_phi(p, a, b, *g):
@@ -240,7 +243,8 @@ def _one_point_short(p):
     ("predict", _one_more_fixed, lambda: verify.verify_fixed(5, 5),
      "fixed-point mismatch p=3 Q=[-2, -2, 0, 0]: got 0, predicted 1"),
     ("analyze", _split_lengths, lambda: verify.verify_cycles(5, 5),
-     "cycle-structure failure p=3 Q=[-2, -2, 0, 0]: fixed=0 lengths=[4]"),
+     "cycle-structure failure p=3 Q=[-2, -2, 0, 0]: fixed=0 lengths=[2, 2], "
+     "predicted length 4"),
     ("_phi_entries", _doubled_phi, lambda: verify.verify_phi(5),
      "defining relations fail at p=3"),
     ("_phi_entries", _doubled_phi_off_the_axes, lambda: verify.verify_phi(5),
